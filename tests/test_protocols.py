@@ -2,10 +2,12 @@
 
 Three layers of evidence, matching the refactor's promises:
 
-1. **Bit identity** — a default (mosi/fifo) run replays the committed
-   pre-refactor goldens exactly: every RunResult field, every registered
-   counter, and the kernel dispatch count (tests/data/protocol_golden.json,
-   captured by tests/gen_protocol_golden.py before the refactor landed).
+1. **Bit identity** — every golden run replays exactly: every RunResult
+   field, every registered counter, and the kernel dispatch count
+   (tests/data/protocol_golden.json, written by
+   tests/gen_protocol_golden.py; the first 13 mosi/fifo records predate
+   the protocol refactor, the rest cover every fault kind, an 8x8
+   machine, detection latency, mesi/moesi and the wrr/priority arbiters).
    Default-valued specs also keep their pre-refactor hashes, so every
    existing ResultStore stays valid.
 2. **Protocol invariants** — mesi/moesi complete full runs (fault-free
@@ -14,14 +16,10 @@ Three layers of evidence, matching the refactor's promises:
    block silently dropped (E copies match memory).
 3. **Arbiter behaviour** — WRR's rotation schedule actually rotates and
    is stable within a cycle; priority arbitration bounds data starvation
-   by the aging limit; express hops stay result-identical to hop-by-hop
-   routing under non-FIFO arbiters.
+   by the aging limit.
 """
 
 from __future__ import annotations
-
-import json
-import os
 
 import pytest
 
@@ -41,17 +39,9 @@ from repro.interconnect.arbiter import (
 from repro.interconnect.messages import MessageKind
 from repro.interconnect.topology import HalfSwitchId
 
-GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "data",
-                           "protocol_golden.json")
+from golden import assert_replays, load_protocol_records
 
-with open(GOLDEN_PATH, encoding="utf-8") as _fh:
-    GOLDEN_RECORDS = json.load(_fh)["records"]
-
-RESULT_FIELDS = (
-    "cycles", "committed_instructions", "target_instructions", "completed",
-    "crashed", "crash_reason", "recoveries", "lost_instructions",
-    "reexecuted_instructions",
-)
+GOLDEN_RECORDS = load_protocol_records()
 
 #: Pre-refactor hash constants.  If any of these move, every existing
 #: result store silently orphans its records — fail loudly instead.
@@ -62,7 +52,13 @@ DEFAULT_CELL_HASH = "0ab01d8be8ee8a66"
 def _golden_id(record):
     spec = record["spec"]
     shape = f"{spec.get('torus_width', '?')}x{spec.get('torus_height', '?')}"
-    return (f"{spec['workload']}-s{spec['seed']}-{shape}-{spec['fault']}")
+    ident = f"{spec['workload']}-s{spec['seed']}-{shape}-{spec['fault']}"
+    for axis in ("protocol", "arbiter"):
+        if spec.get(axis):
+            ident += f"-{spec[axis]}"
+    if spec["detection_latency"]:
+        ident += f"-det{spec['detection_latency']}"
+    return ident
 
 
 # ---------------------------------------------------------------------------
@@ -70,18 +66,31 @@ def _golden_id(record):
 # ---------------------------------------------------------------------------
 @pytest.mark.parametrize("record", GOLDEN_RECORDS, ids=_golden_id)
 def test_mosi_bit_identical_to_golden(record):
-    spec = RunSpec.from_dict(record["spec"])
-    assert spec.spec_hash == record["spec_hash"], \
-        "spec hashing changed: existing stores would orphan their records"
+    assert_replays(record)
+
+
+def test_golden_matrix_exercises_timeouts():
+    """At least one golden cell detects a lost message by request
+    timeout, so the deadline-table timeout path stays under the oracle."""
+    fired = [_golden_id(r) for r in GOLDEN_RECORDS
+             if any(k.endswith(".cache.timeouts") and v > 0
+                    for k, v in r["counters"].items())]
+    assert "apache-s1-2x3-transient" in fired
+
+
+def test_removed_config_flags_are_accepted_and_ignored():
+    """A stored spec carrying a removed machine-path flag keeps its hash,
+    builds, and reproduces the golden RunResult (every setting of the
+    removed flags produced identical results)."""
+    golden = next(r for r in GOLDEN_RECORDS
+                  if _golden_id(r) == "apache-s1-2x2-transient")
+    spec = RunSpec.from_dict(golden["spec"]).with_(
+        config_overrides=(("lazy_timeouts", False),))
+    assert spec.spec_hash == "3fdb661d3e31c0e5"
     machine = build_machine(spec)
     result = machine.run(spec.instructions, max_cycles=spec.max_cycles)
-    for fld in RESULT_FIELDS:
-        assert getattr(result, fld) == record["result"][fld], \
-            f"{fld} diverged from the pre-refactor golden"
-    assert machine.stats.snapshot() == record["counters"], \
-        "counter snapshot diverged (values or registered-counter set)"
-    assert machine.sim.events_dispatched == record["events_dispatched"], \
-        "kernel dispatch count diverged"
+    for fld, value in golden["result"].items():
+        assert getattr(result, fld) == value, fld
 
 
 def test_default_spec_hashes_unchanged():
@@ -187,18 +196,14 @@ def test_arbiters_complete_runs_with_invariants(arbiter):
 def test_express_hops_equivalent_under_arbiter(arbiter):
     """Contention materialises express flights before the chain is
     re-resolved, so express routing must not change results under any
-    policy — the same guarantee the fifo path already had."""
-    def run(express):
-        spec = RunSpec(workload="apache", instructions=1_500, seed=2,
-                       scale=64, torus_width=2, torus_height=2,
-                       arbiter=arbiter,
-                       config_overrides=(("express_hops", express),))
-        machine = build_machine(spec)
-        result = machine.run(spec.instructions, max_cycles=spec.max_cycles)
-        return (result.cycles, result.committed_instructions,
-                result.completed, result.recoveries)
-
-    assert run(True) == run(False)
+    policy.  The arbiter's golden cell was captured while express and
+    hop-by-hop machine runs were checked result-identical under it."""
+    records = [r for r in GOLDEN_RECORDS
+               if r["spec"].get("arbiter") == arbiter]
+    assert len(records) == 1
+    fresh = assert_replays(records[0])
+    assert fresh["counters"]["net.express_flights"] > 0
+    assert fresh["counters"]["net.contention_cycles"] > 0
 
 
 # ---------------------------------------------------------------------------
