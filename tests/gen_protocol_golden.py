@@ -16,8 +16,9 @@ after:
 * ``MODE_CELLS`` -> ``mode_golden.json``, the machine-level cells of the
   mode-equivalence suites (``tests/test_timeout_modes.py``,
   ``test_validation_modes.py``, ``test_express_hops.py``,
-  ``test_calendar_kernel.py``), captured while each suite still proved
-  its alternative machine path bit-identical to the default one.
+  ``test_calendar_kernel.py``) and of the hot-path benchmarks'
+  equivalence guards, captured while each still proved its alternative
+  machine path bit-identical to the default one.
 
 Re-run only to *extend* the matrix (new shapes/faults/seeds), never to
 "refresh" baselines after a divergence — that would turn the oracle into
@@ -145,6 +146,20 @@ MODE_CELLS: Dict[str, Dict[str, RunSpec]] = {
     "calendar": _cells([(2, 2), (4, 4), (4, 8)],
                        ["clean", "transient", "switch_kill"],
                        lambda nodes: 1_500, alternate_jbb=True),
+    # The default-machine runs the hot-path benchmarks' equivalence guards
+    # compare (smoke and quick sizes).
+    "bench": {
+        f"{w}x{h}-{workload}-{instructions}": RunSpec(
+            workload=workload, instructions=instructions, seed=1,
+            max_cycles=20_000_000, scale=16,
+            **({} if (w, h) == (4, 4)
+               else {"torus_width": w, "torus_height": h}))
+        for (w, h), workload, instructions in (
+            ((4, 4), "apache", 1_000), ((4, 4), "apache", 4_000),
+            ((4, 4), "jbb", 1_000), ((4, 4), "jbb", 4_000),
+            ((8, 8), "apache", 400), ((8, 8), "apache", 1_000),
+        )
+    },
 }
 
 
