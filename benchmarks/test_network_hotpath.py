@@ -1,190 +1,57 @@
-"""Network hop hot-path guard (slotted vs legacy scheduling).
+"""Network hop hot-path guards (slotted hops and express segments).
 
 The interconnect schedules every switch-to-switch hop of every coherence
 message, so its dispatch cost multiplies across the whole simulator the
-same way the kernel heap does.  The slotted scheme performs leave +
-arrive + depart in one kernel dispatch per hop (same-cycle completions
-are deliberately NOT batched into shared heap entries — that reordered
-hop processing against interleaved non-hop events; see the Network
-docstring); the legacy scheme (two scheduled closures per hop) is
-retained behind ``slotted=False`` purely so this guard can measure one
-against the other:
+same way the kernel queue does.  Hop scheduling is *slotted*: leave +
+arrive + depart happen in one kernel dispatch per hop (same-cycle
+completions are deliberately NOT batched into shared heap entries — that
+reordered hop processing against interleaved non-hop events; see the
+Network docstring).  The guards:
 
-* **throughput** — slotted must dispatch materially fewer kernel events
-  and be >= 20% faster on a steady hop stream (the structural
-  event-count check is noise-free; the wall-clock check is what the
-  speedup claim actually promises);
-* **equivalence** — a full default-4x4 machine run must produce
-  bit-identical ``RunResult`` fields in both modes.  The slotted path is
-  an optimisation, never a model change.
+* **throughput** — a steady hop stream costs exactly one ``net.hop``
+  dispatch per hop plus the end-of-cycle delivery flushes, nothing else
+  (structural, noise-free); the hop rate is printed;
+* **equivalence** — full default-4x4 machine runs replay the committed
+  golden runs, captured while the legacy two-events-per-hop scheme still
+  reproduced them bit for bit.
 
-*Express hops* (PR 7) layer on top of slotted scheduling: when a
-flight's remaining segment is idle, one ``net.express`` dispatch covers
-the whole segment.  Its guards live here too:
+*Express hops* layer on top of slotted scheduling: when a flight's
+remaining segment is idle, one ``net.express`` dispatch covers the whole
+segment.  ``Network(express=False)`` is the hop-by-hop reference:
 
 * **reduction** — on an idle 8x8 stream the per-hop dispatch count
-  (``net.hop`` + ``net.express``) must drop >= 1.5x vs
-  slotted-without-express, with an identical delivery sequence in all
-  three modes;
-* **equivalence** — full default-4x4 machine runs must produce
-  bit-identical ``RunResult`` fields across express, slotted-without-
-  express, and legacy;
+  (``net.hop`` + ``net.express``) must drop >= 1.5x vs hop-by-hop, with
+  an identical delivery sequence;
+* **equivalence** — the golden default-4x4 machine runs replay exactly
+  with express segments in use;
 * **degradation** — on a contended stream express must fall back to
-  hop-by-hop (interrupts fire, dispatch counts stay near slotted's)
+  hop-by-hop (interrupts fire, dispatch counts stay near hop-by-hop's)
   rather than thrash.
 
 ``REPRO_BENCH_SMOKE=1`` shrinks the iteration counts for the CI smoke
-step (see .github/workflows/ci.yml) and relaxes the wall-clock floor,
-keeping the structural assertions intact.
+step (see .github/workflows/ci.yml), keeping the structural assertions
+intact.
 """
 
-import dataclasses
 import time
 
-from repro.config import SystemConfig
 from repro.interconnect.messages import Message, MessageKind
 from repro.interconnect.network import Network
 from repro.interconnect.routing import RoutingTable
 from repro.interconnect.topology import TorusTopology
 from repro.sim.kernel import Simulator
-from repro.system.machine import Machine
-from repro.workloads import by_name
 
-from benchmarks.conftest import record_bench, run_once, smoke_mode
+from benchmarks.conftest import replay_bench_golden, run_once, smoke_mode
 
 SMOKE = smoke_mode()
 
 # Messages per timed run; each traverses several switch hops.
 MESSAGES = 2_000 if SMOKE else 20_000
-# Wall-clock floor for slotted vs legacy.  The full-size requirement is
-# the >=20% claim; the smoke floor only guards against gross regressions
-# (tiny runs are noisy).
-MIN_SPEEDUP = 1.05 if SMOKE else 1.20
-# Structural floor, independent of machine load: one event per hop must
-# remove essentially half of legacy's two-events-per-hop dispatches.
-MAX_EVENT_RATIO = 0.6
-TIMING_REPEATS = 3
-
-
-def _hop_stream(slotted: bool, n_messages: int, express: bool = False):
-    """A steady self-refuelling hop stream on a bare 4x4 network."""
-    sim = Simulator()
-    topo = TorusTopology(4, 4)
-    net = Network(sim, topo, RoutingTable(topo), slotted=slotted,
-                  express=express)
-    remaining = [n_messages]
-
-    def deliver(msg: Message) -> None:
-        if remaining[0] > 0:
-            remaining[0] -= 1
-            net.send(Message(MessageKind.GETS, src=msg.dst,
-                             dst=(msg.dst * 7 + 3) % 16))
-
-    for nid in range(16):
-        net.attach(nid, deliver)
-    for src in range(16):
-        net.send(Message(MessageKind.GETS, src=src, dst=(src + 5) % 16))
-    return sim, net
-
-
-def _time_stream(slotted: bool) -> tuple:
-    """(best wall seconds, kernel events) over TIMING_REPEATS runs."""
-    best = float("inf")
-    events = None
-    for _ in range(TIMING_REPEATS):
-        sim, _ = _hop_stream(slotted, MESSAGES)
-        started = time.perf_counter()
-        sim.run()
-        best = min(best, time.perf_counter() - started)
-        if events is None:
-            events = sim.events_dispatched
-        else:
-            assert events == sim.events_dispatched  # deterministic
-    return best, events
-
-
-def test_hop_dispatch_throughput(benchmark):
-    def experiment():
-        legacy_s, legacy_events = _time_stream(slotted=False)
-        slotted_s, slotted_events = _time_stream(slotted=True)
-        return legacy_s, legacy_events, slotted_s, slotted_events
-
-    legacy_s, legacy_events, slotted_s, slotted_events = \
-        run_once(experiment, benchmark)
-
-    speedup = legacy_s / slotted_s
-    event_ratio = slotted_events / legacy_events
-    print(f"\nnetwork hop dispatch ({MESSAGES} messages):"
-          f"\n  legacy : {legacy_s:.3f}s, {legacy_events:,} kernel events"
-          f"\n  slotted: {slotted_s:.3f}s, {slotted_events:,} kernel events"
-          f"\n  speedup: {speedup:.2f}x, event ratio {event_ratio:.2f}")
-    record_bench("network_hop_dispatch", speedup, slotted_events, slotted_s,
-                 event_ratio=round(event_ratio, 3))
-    assert event_ratio < MAX_EVENT_RATIO, (
-        f"slotted scheduling stopped batching: {slotted_events:,} events vs "
-        f"legacy {legacy_events:,} (ratio {event_ratio:.2f})"
-    )
-    assert speedup >= MIN_SPEEDUP, (
-        f"slotted hop dispatch only {speedup:.2f}x faster than legacy "
-        f"(floor {MIN_SPEEDUP:.2f}x)"
-    )
-
-
-def _machine_result(slotted: bool, workload: str, instructions: int,
-                    express: bool = False):
-    config = dataclasses.replace(SystemConfig.sim_scaled(16),
-                                 express_hops=express)  # default 4x4 machine
-    machine = Machine(
-        config,
-        by_name(workload, num_cpus=config.num_processors, scale=16, seed=1),
-        seed=1,
-        slotted_network=slotted,
-    )
-    result = machine.run(instructions, max_cycles=10_000_000)
-    # Precondition for mode equivalence: the release-cycle tie (see the
-    # Network class docstring) is only unobservable while no switch
-    # buffer ever saturates and no switch is killed.
-    assert machine.stats.counter("net.buffer_stalls").value == 0, (
-        "equivalence run hit backpressure; its slotted/legacy comparison "
-        "is no longer guaranteed bit-identical")
-    return (result.cycles, result.committed_instructions, result.recoveries,
-            result.completed, result.crashed,
-            machine.stats.counter("net.messages_delivered").value,
-            machine.stats.counter("net.bytes_sent").value)
-
-
-def test_slotted_results_bit_identical(benchmark):
-    instructions = 1_000 if SMOKE else 4_000
-
-    def experiment():
-        out = {}
-        for workload in ("apache", "jbb"):
-            out[workload] = (_machine_result(True, workload, instructions),
-                             _machine_result(False, workload, instructions))
-        return out
-
-    results = run_once(experiment, benchmark)
-    for workload, (slotted, legacy) in results.items():
-        assert slotted == legacy, (
-            f"{workload}: slotted run diverged from legacy\n"
-            f"  slotted: {slotted}\n  legacy : {legacy}"
-        )
-        cycles, committed, recoveries, completed, crashed, _, _ = slotted
-        assert completed and not crashed
-        assert committed >= instructions * 16
-
-
-# ----------------------------------------------------------------------
-# Express hops (PR 7)
-# ----------------------------------------------------------------------
-
-# An express segment must cut per-hop dispatches at least this much on a
-# stream whose switches are idle (one message in the network at a time).
-MIN_EXPRESS_DISPATCH_REDUCTION = 1.5
+EQUIV_INSTRUCTIONS = 1_000 if SMOKE else 4_000
 
 
 class _HopCounter:
-    """Kernel tracer counting per-hop dispatches by label."""
+    """Kernel tracer counting dispatches by label."""
 
     def __init__(self):
         self.counts = {}
@@ -197,13 +64,77 @@ class _HopCounter:
                 + self.counts.get("net.express", 0))
 
 
-def _idle_stream(express: bool, slotted: bool, n_messages: int):
+def _hop_stream(n_messages: int, express: bool = False):
+    """A steady self-refuelling hop stream on a bare 4x4 network; also
+    returns a running count of the hops delivered messages travelled."""
+    sim = Simulator()
+    topo = TorusTopology(4, 4)
+    net = Network(sim, topo, RoutingTable(topo), express=express)
+    remaining = [n_messages]
+    hops = [0]
+
+    def deliver(msg: Message) -> None:
+        hops[0] += len(net.routing.path(msg.src, msg.dst)) - 1
+        if remaining[0] > 0:
+            remaining[0] -= 1
+            net.send(Message(MessageKind.GETS, src=msg.dst,
+                             dst=(msg.dst * 7 + 3) % 16))
+
+    for nid in range(16):
+        net.attach(nid, deliver)
+    for src in range(16):
+        net.send(Message(MessageKind.GETS, src=src, dst=(src + 5) % 16))
+    return sim, net, hops
+
+
+def test_hop_dispatch_throughput(benchmark):
+    def experiment():
+        sim, net, hops = _hop_stream(MESSAGES)
+        tracer = _HopCounter()
+        sim.tracer = tracer
+        started = time.perf_counter()
+        sim.run()
+        return time.perf_counter() - started, hops[0], tracer.counts
+
+    wall_s, hops, counts = run_once(experiment, benchmark)
+    print(f"\nnetwork hop dispatch ({MESSAGES} messages): {hops:,} hops "
+          f"in {wall_s:.3f}s ({hops / wall_s:,.0f} hops/s)")
+    assert set(counts) == {"net.hop", "net.deliver"}, (
+        f"hop stream dispatched events other than hops and delivery "
+        f"flushes: {sorted(counts)}")
+    assert counts["net.hop"] == hops, (
+        f"{counts['net.hop']:,} hop dispatches for {hops:,} hops: slotted "
+        f"scheduling must pay exactly one dispatch per hop")
+
+
+def test_slotted_results_bit_identical(benchmark):
+    def experiment():
+        return {workload: replay_bench_golden(
+                    f"4x4-{workload}-{EQUIV_INSTRUCTIONS}")
+                for workload in ("apache", "jbb")}
+
+    results = run_once(experiment, benchmark)
+    for workload, record in results.items():
+        result = record["result"]
+        assert result["completed"] and not result["crashed"], workload
+        assert result["committed_instructions"] >= EQUIV_INSTRUCTIONS * 16
+
+
+# ----------------------------------------------------------------------
+# Express hops
+# ----------------------------------------------------------------------
+
+# An express segment must cut per-hop dispatches at least this much on a
+# stream whose switches are idle (one message in the network at a time).
+MIN_EXPRESS_DISPATCH_REDUCTION = 1.5
+
+
+def _idle_stream(express: bool, n_messages: int):
     """One message at a time crossing an 8x8 torus: every switch on the
     path is idle, so every network-path send is express-eligible."""
     sim = Simulator()
     topo = TorusTopology(8, 8)
-    net = Network(sim, topo, RoutingTable(topo), slotted=slotted,
-                  express=express)
+    net = Network(sim, topo, RoutingTable(topo), express=express)
     tracer = _HopCounter()
     sim.tracer = tracer
     remaining = [n_messages]
@@ -230,16 +161,13 @@ def test_express_hop_dispatch_reduction(benchmark):
     n = 200 if SMOKE else 2_000
 
     def experiment():
-        return (_idle_stream(True, True, n),
-                _idle_stream(False, True, n),
-                _idle_stream(False, False, n))
+        return _idle_stream(True, n), _idle_stream(False, n)
 
-    (express, slotted, legacy) = run_once(experiment, benchmark)
+    express, slotted = run_once(experiment, benchmark)
     e_tracer, e_deliveries, e_net = express
     s_tracer, s_deliveries, _ = slotted
-    l_tracer, l_deliveries, _ = legacy
 
-    assert e_deliveries == s_deliveries == l_deliveries, (
+    assert e_deliveries == s_deliveries, (
         "express changed the delivery sequence on an idle stream")
     e_hops = e_tracer.hop_dispatches()
     s_hops = s_tracer.hop_dispatches()
@@ -263,9 +191,9 @@ def test_express_contended_stream_degrades(benchmark):
     n = 1_000 if SMOKE else 5_000
 
     def experiment():
-        sim_e, net_e = _hop_stream(True, n, express=True)
+        sim_e, net_e, _ = _hop_stream(n, express=True)
         sim_e.run()
-        sim_s, net_s = _hop_stream(True, n, express=False)
+        sim_s, net_s, _ = _hop_stream(n, express=False)
         sim_s.run()
         return (sim_e.events_dispatched, net_e.c_express_interrupts.value,
                 net_e.c_messages_delivered.value, sim_s.events_dispatched,
@@ -285,25 +213,16 @@ def test_express_contended_stream_degrades(benchmark):
 
 
 def test_express_results_bit_identical(benchmark):
-    """Full-machine runs: express vs slotted-without-express vs legacy."""
-    instructions = 1_000 if SMOKE else 4_000
-
+    """Full-machine runs with express segments in use replay the golden
+    runs that hop-by-hop and legacy scheduling also produced."""
     def experiment():
-        out = {}
-        for workload in ("apache", "jbb"):
-            out[workload] = (
-                _machine_result(True, workload, instructions, express=True),
-                _machine_result(True, workload, instructions, express=False),
-                _machine_result(False, workload, instructions, express=False),
-            )
-        return out
+        return {workload: replay_bench_golden(
+                    f"4x4-{workload}-{EQUIV_INSTRUCTIONS}")
+                for workload in ("apache", "jbb")}
 
     results = run_once(experiment, benchmark)
-    for workload, (express, slotted, legacy) in results.items():
-        assert express == slotted == legacy, (
-            f"{workload}: express run diverged\n"
-            f"  express: {express}\n  slotted: {slotted}\n"
-            f"  legacy : {legacy}")
-        cycles, committed, recoveries, completed, crashed, _, _ = express
-        assert completed and not crashed
-        assert committed >= instructions * 16
+    for workload, record in results.items():
+        result = record["result"]
+        assert result["completed"] and not result["crashed"], workload
+        assert record["counters"]["net.express_flights"] > 0, (
+            f"{workload}: no flight went express")

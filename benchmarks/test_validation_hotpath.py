@@ -1,33 +1,26 @@
-"""Checkpoint-validation hot-path guard (event-driven vs legacy polled).
+"""Checkpoint-validation hot-path guard (event-driven sign-off).
 
 The recovery-point advance (paper §2.4, §3.5) is a fuzzy barrier that is
 *usually idle*: between checkpoint-clock edges nothing about a node's
-sign-off can change unless a transaction spanning an edge completes.  The
-legacy scheduling drove it with a fixed-interval poll on every node
-forever — the dominant source of idle kernel events on large machines.
-The event-driven scheduling (``event_driven_validation=True``, default)
-recomputes readiness only on the events that can change it (clock edges,
-pre-edge transaction completions, detection-window closes, recovery) with
-a send-armed resync timer as the dropped-coordination-message insurance.
-
-The announce *policy* — which VALIDATE_READY messages are sent, and when
-— is shared by both modes (duplicate announcements are suppressed; the
-poll loop is a no-op re-check), so the modes are required to be
-**bit-identical**, and the poll loop doubles as an oracle: if a poll ever
-catches readiness the triggers missed, the equivalence test fails.
+sign-off can change unless a transaction spanning an edge completes.
+Validation therefore recomputes readiness only on the events that can
+change it (clock edges, pre-edge transaction completions,
+detection-window closes, recovery), with a send-armed resync timer as
+the dropped-coordination-message insurance.  The fixed-interval poll on
+every node that this replaced was the dominant source of idle kernel
+events on large machines.
 
 * **throughput** — an idle protected machine (clock + validation running,
-  cores parked) is pure lifecycle scheduling; event-driven mode must
-  dispatch >= 30% fewer kernel events (structural, noise-free) and be
-  measurably faster in wall-clock terms.  This is also where the
-  pre-interned event labels / pre-bound network counters show up.
+  cores parked) is pure lifecycle scheduling; it must dispatch exactly
+  the committed event count (the poll loop took ~2.8x as many; any new
+  periodic event shows up here, noise-free), and the dispatch rate is
+  printed.
 * **equivalence** — full default runs on the paper's 4x4 and the
-  ROADMAP-scale 8x8 torus must produce bit-identical ``RunResult`` fields
-  *and* identical network-traffic counters in both modes, while
-  event-driven dispatches strictly fewer kernel events.
+  ROADMAP-scale 8x8 torus replay the golden runs the polled schedule
+  also produced, bit for bit.
 
-``REPRO_BENCH_SMOKE=1`` shrinks run lengths for the CI smoke step and
-relaxes the wall-clock floor, keeping the structural assertions intact.
+``REPRO_BENCH_SMOKE=1`` shrinks run lengths for the CI smoke step,
+keeping the structural assertions intact.
 """
 
 import time
@@ -36,39 +29,29 @@ from repro.config import SystemConfig
 from repro.system.machine import Machine
 from repro.workloads import by_name
 
-from benchmarks.conftest import record_bench, run_once, smoke_mode
+from benchmarks.conftest import replay_bench_golden, run_once, smoke_mode
 
 SMOKE = smoke_mode()
 
 # Checkpoint intervals per timed idle run.
 INTERVALS = 40 if SMOKE else 200
-# Event-driven must remove well over the claimed 30% of lifecycle
-# dispatches (measured: ~74% fewer on the idle stream).
-MAX_EVENT_RATIO = 0.7
-# Wall-clock floor.  The full-size requirement is the >=15% claim
-# (measured: >2x); the smoke floor only guards gross regressions.
-MIN_SPEEDUP = 1.05 if SMOKE else 1.15
-TIMING_REPEATS = 3
+# Kernel dispatches of the idle lifecycle at INTERVALS intervals.
+IDLE_LIFECYCLE_EVENTS = {40: 8_615, 200: 43_955}
 
 
-def _machine(event_driven: bool, shape=None, workload: str = "apache",
-             seed: int = 1) -> Machine:
-    if shape is None:
-        config = SystemConfig.sim_scaled(16)          # the default 4x4
-    else:
-        config = SystemConfig.from_shape(*shape)
-    config = config.with_overrides(event_driven_validation=event_driven)
+def _machine() -> Machine:
+    config = SystemConfig.sim_scaled(16)          # the default 4x4
     return Machine(
-        config,
-        by_name(workload, num_cpus=config.num_processors, scale=16, seed=seed),
-        seed=seed,
+        config, by_name("apache", num_cpus=config.num_processors, scale=16,
+                        seed=1),
+        seed=1,
     )
 
 
-def _idle_lifecycle(event_driven: bool) -> tuple:
-    """Run only the checkpoint lifecycle: clock edges, sign-off
-    coordination, and (in polled mode) the idle poll stream."""
-    machine = _machine(event_driven)
+def _idle_lifecycle() -> tuple:
+    """Run only the checkpoint lifecycle: clock edges and sign-off
+    coordination."""
+    machine = _machine()
     machine.clock.start()
     for node in machine.nodes:
         node.validation.start()
@@ -80,91 +63,30 @@ def _idle_lifecycle(event_driven: bool) -> tuple:
     return wall, machine.sim.events_dispatched
 
 
-def _time_idle(event_driven: bool) -> tuple:
-    best = float("inf")
-    events = None
-    for _ in range(TIMING_REPEATS):
-        wall, dispatched = _idle_lifecycle(event_driven)
-        best = min(best, wall)
-        if events is None:
-            events = dispatched
-        else:
-            assert events == dispatched  # deterministic
-    return best, events
-
-
 def test_validation_scheduling_throughput(benchmark):
-    def experiment():
-        polled_s, polled_events = _time_idle(event_driven=False)
-        event_s, event_events = _time_idle(event_driven=True)
-        return polled_s, polled_events, event_s, event_events
-
-    polled_s, polled_events, event_s, event_events = \
-        run_once(experiment, benchmark)
-
-    speedup = polled_s / event_s
-    event_ratio = event_events / polled_events
-    print(f"\nvalidation lifecycle ({INTERVALS} checkpoint intervals):"
-          f"\n  polled      : {polled_s:.3f}s, {polled_events:,} kernel events"
-          f"\n  event-driven: {event_s:.3f}s, {event_events:,} kernel events"
-          f"\n  speedup: {speedup:.2f}x, event ratio {event_ratio:.2f}")
-    record_bench("validation_scheduling", speedup, event_events, event_s,
-                 event_ratio=round(event_ratio, 2))
-    assert event_ratio < MAX_EVENT_RATIO, (
-        f"event-driven validation stopped saving dispatches: "
-        f"{event_events:,} events vs polled {polled_events:,} "
-        f"(ratio {event_ratio:.2f})"
-    )
-    assert speedup >= MIN_SPEEDUP, (
-        f"event-driven validation only {speedup:.2f}x faster than polled "
-        f"(floor {MIN_SPEEDUP:.2f}x)"
-    )
-
-
-def _machine_result(event_driven: bool, shape, workload: str,
-                    instructions: int) -> tuple:
-    machine = _machine(event_driven, shape=shape, workload=workload)
-    result = machine.run(instructions, max_cycles=20_000_000)
-    fields = (result.cycles, result.committed_instructions,
-              result.target_instructions, result.completed, result.crashed,
-              result.crash_reason, result.recoveries,
-              result.lost_instructions, result.reexecuted_instructions,
-              machine.stats.counter("net.messages_sent").value,
-              machine.stats.counter("net.messages_delivered").value,
-              machine.stats.counter("net.bytes_sent").value,
-              machine.controllers.rpcn)
-    return fields, machine.sim.events_dispatched
+    wall_s, events = run_once(_idle_lifecycle, benchmark)
+    print(f"\nvalidation lifecycle ({INTERVALS} checkpoint intervals): "
+          f"{wall_s:.3f}s, {events:,} kernel events "
+          f"({events / wall_s:,.0f} events/s)")
+    assert events == IDLE_LIFECYCLE_EVENTS[INTERVALS], (
+        f"idle lifecycle dispatched {events:,} kernel events, expected "
+        f"{IDLE_LIFECYCLE_EVENTS[INTERVALS]:,}: a lifecycle event was "
+        f"added or lost")
 
 
 def test_event_driven_results_bit_identical(benchmark):
-    # (shape, workload, instructions): the default 4x4 machine on two
-    # workloads plus the ROADMAP-scale 8x8, where O(nodes) polling
-    # overhead grows fastest.
-    cases = [
-        (None, "apache", 1_000 if SMOKE else 4_000),
-        (None, "jbb", 1_000 if SMOKE else 4_000),
-        ((8, 8), "apache", 400 if SMOKE else 1_000),
-    ]
+    # The default 4x4 machine on two workloads plus the ROADMAP-scale
+    # 8x8, where O(nodes) polling overhead grew fastest.
+    cells = [f"4x4-apache-{1_000 if SMOKE else 4_000}",
+             f"4x4-jbb-{1_000 if SMOKE else 4_000}",
+             f"8x8-apache-{400 if SMOKE else 1_000}"]
 
     def experiment():
-        out = {}
-        for shape, workload, instructions in cases:
-            key = (f"{shape[0]}x{shape[1]}" if shape else "4x4", workload)
-            out[key] = (_machine_result(True, shape, workload, instructions),
-                        _machine_result(False, shape, workload, instructions))
-        return out
+        return {cell: replay_bench_golden(cell) for cell in cells}
 
     results = run_once(experiment, benchmark)
-    for key, ((event_fields, event_events),
-              (polled_fields, polled_events)) in results.items():
-        assert event_fields == polled_fields, (
-            f"{key}: event-driven run diverged from polled\n"
-            f"  event-driven: {event_fields}\n  polled      : {polled_fields}"
-        )
-        assert event_events < polled_events, (
-            f"{key}: event-driven mode dispatched no fewer kernel events "
-            f"({event_events:,} vs {polled_events:,})"
-        )
-        cycles, committed, target, completed, crashed = event_fields[:5]
-        assert completed and not crashed
-        assert committed >= target
+    for cell, record in results.items():
+        result = record["result"]
+        assert result["completed"] and not result["crashed"], cell
+        assert result["committed_instructions"] >= \
+            result["target_instructions"]

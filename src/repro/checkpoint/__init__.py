@@ -11,9 +11,7 @@ coherence and processor layers:
   readiness signalling).
 * :mod:`repro.checkpoint.agent` — the per-node
   :class:`ValidationAgent`: edge-triggered readiness recomputation and
-  sign-off announcement, with the legacy poll loop retained behind
-  ``event_driven_validation=False`` for the differential guard in
-  ``benchmarks/test_validation_hotpath.py``.
+  sign-off announcement.
 * :mod:`repro.checkpoint.controllers` — the redundant
   :class:`ServiceControllers` with incremental running-min sign-off
   tracking.

@@ -197,11 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "report for tooling.")
     add_experiment_args(prof, instructions=8_000, warmup=0, period=60_000)
     prof.add_argument("--seed", type=int, default=1)
-    prof.add_argument("--legacy", action="store_true",
-                      help="profile the legacy hot paths (lazy_timeouts, "
-                           "burst_fast_path, express_hops, and "
-                           "calendar_kernel all False) for before/after "
-                           "comparison")
     prof.add_argument("--top", type=int, default=12,
                       help="rows per table (labels and functions)")
     prof.add_argument("--no-cprofile", action="store_true",
@@ -656,10 +651,6 @@ def cmd_profile(args, out) -> int:
 
     try:
         spec = _spec_from_args(args)
-        if args.legacy:
-            spec = spec.with_(config_overrides=(
-                ("lazy_timeouts", False), ("burst_fast_path", False),
-                ("express_hops", False), ("calendar_kernel", False)))
         report = profile_spec(spec, use_cprofile=not args.no_cprofile,
                               top_functions=args.top)
     except ValueError as exc:
@@ -675,7 +666,6 @@ def cmd_profile(args, out) -> int:
         print(report.to_json(), file=out)
         return 0 if not report.crashed else 1
 
-    mode = "legacy paths" if args.legacy else "current paths"
     label_rows = [
         (r["label"], f"{r['dispatches']:,}", f"{r['dispatch_frac']:6.1%}",
          f"{r['seconds']:.3f}", f"{r['seconds_frac']:6.1%}")
@@ -684,7 +674,7 @@ def cmd_profile(args, out) -> int:
     print(format_table(
         ["event label", "dispatches", "disp %", "excl s", "time %"],
         label_rows,
-        title=f"kernel dispatch profile ({mode}: "
+        title=f"kernel dispatch profile ("
               f"{report.events_dispatched:,} events, "
               f"{report.wall_seconds:.2f}s wall)"), file=out)
     if report.functions:

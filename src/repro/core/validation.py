@@ -8,7 +8,6 @@ Import :class:`ValidationAgent` and :class:`ServiceControllers` from
 
 from repro.checkpoint.agent import (
     LABEL_DETECT,
-    LABEL_POLL,
     LABEL_RESYNC,
     ValidationAgent,
 )
@@ -16,7 +15,6 @@ from repro.checkpoint.controllers import ServiceControllers
 
 __all__ = [
     "LABEL_DETECT",
-    "LABEL_POLL",
     "LABEL_RESYNC",
     "ServiceControllers",
     "ValidationAgent",

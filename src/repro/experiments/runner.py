@@ -31,6 +31,15 @@ from repro.experiments.spec import RunSpec
 from repro.system.machine import Machine, RunResult
 from repro.workloads import by_name
 
+#: Removed ``SystemConfig`` flags that once selected an alternative
+#: machine path.  Stored specs may still carry them in
+#: ``config_overrides``; every setting gave identical results, so
+#: ignoring them is exact (and keeps those specs' hashes).
+REMOVED_CONFIG_FLAGS = frozenset({
+    "burst_fast_path", "calendar_kernel", "event_driven_validation",
+    "express_hops", "lazy_timeouts",
+})
+
 #: Stats harvested into every record (small, stable, JSON-safe).
 _METRIC_SUFFIXES = (
     "store_throttles",
@@ -48,7 +57,9 @@ _METRIC_SUFFIXES = (
 
 def build_machine(spec: RunSpec) -> Machine:
     """Assemble the machine a spec describes (also used by the CLI)."""
-    overrides: Dict[str, Any] = dict(spec.config_overrides)
+    overrides: Dict[str, Any] = {
+        key: value for key, value in spec.config_overrides
+        if key not in REMOVED_CONFIG_FLAGS}
     if not spec.safetynet:
         overrides["safetynet_enabled"] = False
     if spec.interval is not None:

@@ -7,7 +7,7 @@ order a cycle's arrivals are handed to endpoints
 (:meth:`~repro.interconnect.network.Network._flush_deliveries`).  Both
 historically used message-id order — a FIFO-by-age rule.  This module
 lifts that decision into an :class:`ArbiterPolicy` object behind a
-registry (the ``PROTOCOLS`` / ``KERNEL_CORES`` pattern):
+registry (the ``PROTOCOLS`` pattern):
 
 * ``fifo`` — the historical message-id order and the bit-identity
   oracle.  The network keeps its inline sorts on this path, so the

@@ -8,19 +8,19 @@ killing a half-switch loses every message buffered in it plus anything that
 later arrives there (until the routing tables are recomputed around it).
 
 Hop scheduling is *slotted*: each hop is one kernel dispatch that performs
-leave + arrive + depart together.  The legacy two-events-per-hop scheme is
-retained behind ``slotted=False`` purely as the reference for the
-differential guard in ``benchmarks/test_network_hotpath.py``.
+leave + arrive + depart together (the buffer entry's release cycle is
+recorded at depart and finalised by the next hop's dispatch, so no
+separate leave event exists).
 
 Hops deliberately do NOT share heap entries: batching same-cycle hop
 completions into one dispatch would run a later-scheduled hop at the
 earliest hop's heap position, reordering its processing (and any traffic
 its delivery injects) against non-hop events of the same cycle — an
-order-dependent tie that made slotted and legacy runs diverge once
-checkpoint-validation traffic became completion-triggered.  One event per
-hop keeps dispatch order identical to legacy by construction.
+order-dependent tie, since checkpoint-validation traffic is
+completion-triggered.  One event per hop keeps dispatch order fixed by
+construction.
 
-*Express hops* (``express=True``, slotted only) recover multi-hop
+*Express hops* (``express=True``, the default) recover multi-hop
 advancement without re-opening that wound: when every switch on a
 flight's remaining path segment is idle — no live serialisation entries
 (the per-switch next-free-cycle register answers that in O(1)), no link
@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import sys
 from collections import defaultdict
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.interconnect.arbiter import (
     ArbiterPolicy,
@@ -68,7 +68,6 @@ LostFn = Callable[[Message, str], None]
 # (ROADMAP "event-label allocation").
 LABEL_HOP = sys.intern("net.hop")
 LABEL_EXPRESS = sys.intern("net.express")
-LABEL_LEAVE = sys.intern("net.leave")
 LABEL_LOCAL = sys.intern("net.local_deliver")
 LABEL_DELIVER = sys.intern("net.deliver")
 LABEL_RETRY = sys.intern("net.buffer_retry")
@@ -77,7 +76,7 @@ LABEL_RETRY = sys.intern("net.buffer_retry")
 class _Flight:
     """Book-keeping for one in-flight message.
 
-    The flight doubles as its own hop callback (``__call__``): the slotted
+    The flight doubles as its own hop callback (``__call__``): the hop
     scheduler queues the flight object directly, avoiding a per-hop
     closure allocation on the hottest scheduling path.  ``ser`` is the
     link-serialisation time, computed once per message instead of once
@@ -95,7 +94,7 @@ class _Flight:
     __slots__ = ("msg", "mid", "path", "index", "dropped", "epoch", "net",
                  "ser", "no_express", "exp_base", "exp_times", "exp_saved",
                  "exp_event", "claim_cycle", "claim_link", "claim_start",
-                 "claim_base", "claim_next", "claim_event", "claim_leave")
+                 "claim_base", "claim_next", "claim_event")
 
     def __init__(self, msg: Message, path: List[Vertex], epoch: int,
                  net: "Network", ser: int) -> None:
@@ -114,15 +113,14 @@ class _Flight:
         self.exp_event = None
         # Claim-chain bookkeeping (see Network._claim_link): the cycle and
         # start of this flight's latest link claim, the link horizon before
-        # the chain began, the next chain member, and the scheduled events
-        # a re-resolution must displace.
+        # the chain began, the next chain member, and the scheduled hop
+        # event a re-resolution must displace.
         self.claim_cycle = -1
         self.claim_link: Optional[Tuple[Vertex, Vertex]] = None
         self.claim_start = 0
         self.claim_base = 0
         self.claim_next: Optional["_Flight"] = None
         self.claim_event = None
-        self.claim_leave = None
 
     def __call__(self) -> None:
         self.net._arrive(self)
@@ -136,19 +134,11 @@ class Network:
 
     Residency semantics: a message occupies a switch buffer from the
     moment it is accepted until it is fully serialised onto the outgoing
-    link.  The slotted path records that release time per entry
-    (``_resident_until``) and finalises it in the hop dispatch itself,
-    instead of paying a dedicated ``net.leave`` kernel event per hop.
-    One boundary case is mode-dependent: an observation (capacity check
-    or switch kill) landing on *exactly* the release cycle sees the
-    entry gone in slotted mode, while legacy mode resolves the tie by
-    kernel event order (the ``net.leave`` event's insertion sequence),
-    which is history-dependent.  Slotted is therefore the deterministic
-    definition.  The modes produce bit-identical results on runs where
-    the tie is never observed — no switch kills and no buffer
-    saturation; the differential guard in
-    ``benchmarks/test_network_hotpath.py`` compares such runs and
-    asserts its own precondition (``buffer_stalls == 0``).
+    link.  The network records that release time per entry
+    (``_resident_until``) and finalises it in the hop dispatch itself.
+    An observation (capacity check or switch kill) landing on *exactly*
+    the release cycle sees the entry gone — a deterministic rule, unlike
+    resolving the tie by kernel event order.
     """
 
     def __init__(
@@ -162,7 +152,6 @@ class Network:
         link_latency: int = 4,
         bytes_per_cycle: float = 6.4,
         buffer_capacity: int = 64,
-        slotted: bool = True,
         express: bool = True,
         arbiter: "str | ArbiterPolicy" = "fifo",
         name: str = "net",
@@ -175,8 +164,7 @@ class Network:
         self.link_latency = link_latency
         self.bytes_per_cycle = bytes_per_cycle
         self.buffer_capacity = buffer_capacity
-        self.slotted = slotted
-        self.express = bool(express and slotted)
+        self.express = bool(express)
         self._name = name
         # Arbitration policy for same-cycle ties (link claims, delivery
         # order).  ``fifo`` keeps the inline message-id sorts below —
@@ -188,9 +176,7 @@ class Network:
 
         self._endpoints: Dict[int, DeliverFn] = {}
         self._link_free: Dict[Tuple[Vertex, Vertex], int] = {}
-        # Legacy residency: membership managed by net.leave events.
-        self._resident: Dict[Vertex, Set[int]] = defaultdict(set)
-        # Slotted residency: msg_id -> cycle the buffer entry is released.
+        # Residency: msg_id -> cycle the buffer entry is released.
         self._resident_until: Dict[Vertex, Dict[int, int]] = defaultdict(dict)
         # Per-switch next-free-cycle register: the max release cycle ever
         # written for the switch.  Monotone per write, so "every entry's
@@ -339,10 +325,9 @@ class Network:
     def buffer_depth(self) -> int:
         """Live switch-buffer residents, machine-wide (observability view).
 
-        Slotted mode counts entries whose release time has not passed yet
-        (released entries linger in the tables until lazily pruned, so the
-        raw sizes overcount); legacy mode counts the event-managed sets.
-        Read-only: the lazy pruning state is left untouched.
+        Counts entries whose release time has not passed yet (released
+        entries linger in the tables until lazily pruned, so the raw sizes
+        overcount).  Read-only: the lazy pruning state is left untouched.
 
         In-express flights have no residency entries for the intermediate
         switches they are advancing through arithmetically, so their
@@ -353,8 +338,6 @@ class Network:
         depth would undercount exactly when the network is busiest moving
         express traffic.
         """
-        if not self.slotted:
-            return sum(len(s) for s in self._resident.values())
         now = self.sim.now
         depth = sum(
             1
@@ -426,21 +409,17 @@ class Network:
         wait = start - now
         if wait:
             self.c_contention_cycles.add(wait)
-        if self.slotted:
-            # _finish_claim's slotted branch, inlined: this is the one
-            # claim per hop dispatch on the default configuration.
-            if here[0] == "sw":
-                release = start + ser
-                self._resident_until[here][flight.mid] = release
-                nf = self._switch_next_free
-                if release > nf.get(here, 0):
-                    nf[here] = release
-                arrive_at = start + ser + self.link_latency + self.switch_latency
-            else:
-                arrive_at = start + ser + self.link_latency + 1
-            flight.claim_event = self.sim.schedule(arrive_at, flight, LABEL_HOP)
+        # _finish_claim, inlined: this is the one claim per hop dispatch.
+        if here[0] == "sw":
+            release = start + ser
+            self._resident_until[here][flight.mid] = release
+            nf = self._switch_next_free
+            if release > nf.get(here, 0):
+                nf[here] = release
+            arrive_at = start + ser + self.link_latency + self.switch_latency
         else:
-            self._finish_claim(flight, here, start)
+            arrive_at = start + ser + self.link_latency + 1
+        flight.claim_event = self.sim.schedule(arrive_at, flight, LABEL_HOP)
 
     def _claim_chain(self, flight: _Flight, link: Tuple[Vertex, Vertex],
                      here: Vertex, head: _Flight) -> None:
@@ -486,9 +465,6 @@ class Network:
             if m is flight or m.claim_start != start:
                 if m is not flight:
                     m.claim_event.cancel()
-                    if m.claim_leave is not None:
-                        m.claim_leave.cancel()
-                        m.claim_leave = None
                 m.claim_start = start
                 self._finish_claim(m, here, start)
             new_total += start - now
@@ -515,35 +491,23 @@ class Network:
             self.switch_latency if here[0] == "sw" else 1)
         # The message occupies the current switch buffer until it is fully
         # on the wire (link start + serialisation).
-        if self.slotted:
-            if here[0] == "sw":
-                release = start + ser
-                self._resident_until[here][flight.mid] = release
-                if release > self._switch_next_free.get(here, 0):
-                    self._switch_next_free[here] = release
-            self._schedule_hop(flight, arrive_at)
-        else:
-            flight.claim_event = self.sim.schedule(
-                arrive_at, lambda f=flight: self._arrive(f), LABEL_HOP
-            )
-            if here[0] == "sw":
-                flight.claim_leave = self.sim.schedule(
-                    start + ser, lambda f=flight, v=here: self._leave(f, v),
-                    LABEL_LEAVE
-                )
+        if here[0] == "sw":
+            release = start + ser
+            self._resident_until[here][flight.mid] = release
+            if release > self._switch_next_free.get(here, 0):
+                self._switch_next_free[here] = release
+        self._schedule_hop(flight, arrive_at)
 
-    # -- slotted scheduling --------------------------------------------
     def _schedule_hop(self, flight: _Flight, when: int) -> None:
-        """Queue a hop completion: one kernel event doing the whole hop
-        (the legacy scheme pays a second ``net.leave`` event per hop),
+        """Queue a hop completion: one kernel event doing the whole hop,
         with the flight itself as the callback (no closure allocation)."""
         flight.claim_event = self.sim.schedule(when, flight, LABEL_HOP)
 
     def _at_capacity(self, table) -> bool:
-        """Whether a switch's buffer (slotted mode) is full of *live*
-        entries.  Pruning released entries only matters once the raw count
-        reaches capacity (pruning only shrinks it), so the common
-        uncontended arrival pays a ``len`` instead of a table scan."""
+        """Whether a switch's buffer is full of *live* entries.  Pruning
+        released entries only matters once the raw count reaches capacity
+        (pruning only shrinks it), so the common uncontended arrival pays
+        a ``len`` instead of a table scan."""
         if len(table) < self.buffer_capacity:
             return False
         now = self.sim.now
@@ -722,22 +686,17 @@ class Network:
         flight.exp_saved = None
         flight.exp_event = None
 
-    # -- shared arrival logic ------------------------------------------
-    def _leave(self, flight: _Flight, vertex: Vertex) -> None:
-        self._resident[vertex].discard(flight.mid)
-
+    # -- arrival --------------------------------------------------------
     def _arrive(self, flight: _Flight) -> None:
         if flight.dropped or flight.epoch != self._epoch:
             return
         index = flight.index = flight.index + 1
         path = flight.path
-        slotted = self.slotted
-        if slotted:
-            # Leave, finalised: the entry's release time already passed
-            # (it was start + ser, strictly before this arrival).
-            prev = path[index - 1]
-            if prev[0] == "sw":
-                self._resident_until[prev].pop(flight.mid, None)
+        # Leave, finalised: the entry's release time already passed (it
+        # was start + ser, strictly before this arrival).
+        prev = path[index - 1]
+        if prev[0] == "sw":
+            self._resident_until[prev].pop(flight.mid, None)
         vertex = path[index]
         if vertex[0] == "sw":
             if self._express_switches:
@@ -756,13 +715,8 @@ class Network:
                     if hook(flight.msg, vertex):
                         self._lose(flight, f"fault injection at {half}")
                         return
-            if slotted:
-                table = self._resident_until[vertex]
-                full = (len(table) >= self.buffer_capacity
-                        and self._at_capacity(table))
-            else:
-                full = len(self._resident[vertex]) >= self.buffer_capacity
-            if full:
+            table = self._resident_until[vertex]
+            if len(table) >= self.buffer_capacity and self._at_capacity(table):
                 # Backpressure: retry entering the switch shortly.
                 flight.index -= 1
                 self.c_buffer_stalls.add()
@@ -770,10 +724,8 @@ class Network:
                     4, lambda f=flight: self._arrive_retry(f), LABEL_RETRY
                 )
                 return
-            if not slotted:
-                self._resident[vertex].add(flight.mid)
-            # Slotted residency is recorded in _depart, which runs within
-            # this same dispatch and knows the buffer-release time.
+            # Residency is recorded in _depart, which runs within this
+            # same dispatch and knows the buffer-release time.
             self._depart(flight)
         else:
             # Destination endpoint.
@@ -794,7 +746,7 @@ class Network:
         — exactly the thing express advancement changes.  Sorting each
         cycle's deliveries by a key the modes share makes the order (and
         thus every downstream dispatch) independent of how the flights got
-        here, so legacy, slotted, and express runs stay bit-identical.
+        here, so express and hop-by-hop runs stay bit-identical.
         """
         now = self.sim.now
         if self._deliver_cycle != now:
@@ -865,13 +817,9 @@ class Network:
             # Pin the in-express flight back to its true position first;
             # if it is buffered here it dies with the switch below.
             self._materialize(claimant)
-        if self.slotted:
-            now = self.sim.now
-            table = self._resident_until.pop(vertex, {})
-            victims = [mid for mid, until in table.items() if until > now]
-        else:
-            victims = list(self._resident.get(vertex, ()))
-            self._resident.pop(vertex, None)
+        now = self.sim.now
+        table = self._resident_until.pop(vertex, {})
+        victims = [mid for mid, until in table.items() if until > now]
         for msg_id in victims:
             flight = self._in_flight.get(msg_id)
             if flight is not None:
@@ -894,7 +842,6 @@ class Network:
         count = len(self._in_flight)
         self._epoch += 1
         self._in_flight.clear()
-        self._resident.clear()
         self._resident_until.clear()
         self._link_free.clear()
         self._switch_next_free.clear()

@@ -91,8 +91,7 @@ class Sampler:
                 clb_max = occ
             outstanding += (len(node.cache.mshrs) + len(node.cache.wb_txns)
                             + len(node.home.busy))
-            if node.cache._timeout_table is not None:
-                deadlines += len(node.cache._timeout_table)
+            deadlines += len(node.cache._timeout_table)
             if node.home._timeout_table is not None:
                 deadlines += len(node.home._timeout_table)
             committed += node.core.position

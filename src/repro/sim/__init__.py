@@ -7,7 +7,7 @@ schedules work through :class:`~repro.sim.kernel.Simulator`.
 
 from repro.sim.calendar import CalendarSimulator
 from repro.sim.deadlines import DeadlineTable
-from repro.sim.kernel import KERNEL_CORES, Event, Simulator, make_kernel
+from repro.sim.kernel import Event, Simulator
 from repro.sim.profile import (DispatchProfile, ProfileReport, profile_spec,
                                queue_health)
 from repro.sim.rng import DeterministicRng, spawn_streams
@@ -17,8 +17,6 @@ __all__ = [
     "Event",
     "Simulator",
     "CalendarSimulator",
-    "KERNEL_CORES",
-    "make_kernel",
     "DeadlineTable",
     "DispatchProfile",
     "ProfileReport",

@@ -48,18 +48,18 @@ that shape:
 Dispatch order, ``run``/``step`` semantics (limit cut-off, fast-forward,
 ``stop``, ``max_events``), and the backwards-time guard are bit-identical
 to the heap kernel — ``tests/test_calendar_kernel.py`` holds the two
-cores equivalent event-for-event, and machine runs produce bit-identical
-``RunResult``s (counters included).  One documented exception: when a
-run consumes a *trailing* sequence of cancelled-only cycles, this core
+cores equivalent event-for-event, and machine runs on the two cores were
+bit-identical, counters included (``tests/data/mode_golden.json`` keeps
+those runs).  One documented exception: when a run consumes a
+*trailing* sequence of cancelled-only cycles, this core
 leaves ``now`` at the last examined cycle where the heap kernel leaves it
 at the last dispatched one.  Advancing is what keeps the window base
 behind the clock (the invariant that makes bucket indexing alias-free);
 no component observes the difference — a machine run always ends by
 ``stop()`` or a limit, and both cores agree on those paths.
 
-Select with ``SystemConfig.calendar_kernel`` (default True); the heap
-kernel remains in-tree as the bit-identity oracle, the same doctrine as
-``lazy_timeouts`` and ``express_hops``.
+Every machine runs on this core; the heap kernel stays in-tree as its
+base class and unit-level reference.
 """
 
 from __future__ import annotations
@@ -70,12 +70,7 @@ from sys import getrefcount
 from time import perf_counter
 from typing import Callable, List, Optional, Tuple
 
-from repro.sim.kernel import (
-    KERNEL_CORES,
-    Event,
-    SimulationError,
-    Simulator,
-)
+from repro.sim.kernel import Event, SimulationError, Simulator
 
 #: Wheel-width bounds for auto-sizing.  The floor keeps sparse phases from
 #: thrashing between tiny windows; the ceiling bounds the per-rotation
@@ -512,5 +507,3 @@ class CalendarSimulator(Simulator):
             "peak_pending": self.peak_pending,
         }
 
-
-KERNEL_CORES["calendar"] = CalendarSimulator

@@ -28,11 +28,12 @@ minimum carries a later sequence number than an event armed at issue
 time), so *within* the deadline cycle the check may order differently
 against other same-cycle events.  That is only observable if a
 transaction completes at exactly ``issue + request_timeout`` — a
-same-cycle tie between detection and completion, which the legacy path
-may resolve as a (spurious) fault and the lazy path as a completion.
-``tests/test_timeout_modes.py`` holds the two modes bit-identical across
-seeds, shapes, and fault scenarios; the tie has never been observed
-there, but it is a tie, not an equivalence proof.
+same-cycle tie between detection and completion, which per-request
+events could resolve as a (spurious) fault and the table resolves as a
+completion.  The two were bit-identical across the seeds, shapes, and
+fault scenarios that ``tests/test_timeout_modes.py`` now replays from
+``tests/data/mode_golden.json``; the tie was never observed there, but
+it is a tie, not an equivalence proof.
 """
 
 from __future__ import annotations

@@ -5,32 +5,30 @@ one processor clock at the paper's 1 GHz target, i.e. 1 ns).  Components
 schedule callbacks at absolute cycles; ties are broken by insertion order so
 that every run with the same seeds is bit-for-bit reproducible.
 
-Two interchangeable kernel cores implement that contract:
+Two kernel cores implement that contract:
 
 * :class:`Simulator` (this module) — a binary heap of ``(when, seq, event)``
   tuples.  O(log n) schedule/pop, no assumptions about the event mix.  It
-  is the reference core: simple enough to audit, and every alternative
-  core must reproduce its dispatch order bit-for-bit.
+  is the reference core: simple enough to audit, the base class of the
+  calendar core, and the oracle ``tests/test_sim_kernel.py`` and
+  ``tests/test_calendar_kernel.py`` hold the calendar core to.
 * :class:`~repro.sim.calendar.CalendarSimulator` — a calendar queue
   (per-cycle buckets plus a sorted overflow tier) with a zero-delay fast
   lane and event recycling; O(1) amortised on the dense integer streams
-  the machine produces.  Selected by ``SystemConfig.calendar_kernel``
-  (the default); guarded by ``benchmarks/test_kernel_hotpath.py`` and
-  ``tests/test_calendar_kernel.py``.
+  the machine produces.  Every :class:`~repro.system.machine.Machine`
+  runs on it.
 
-:func:`make_kernel` is the factory the machine layer uses; new cores
-register themselves in :data:`KERNEL_CORES`.  A core is any object with
-the Simulator API surface the components rely on: ``now``, ``schedule``,
-``schedule_after``, ``run``, ``step``, ``stop``, ``stop_reason``,
-``pending``, ``peak_pending``, ``events_dispatched``, ``drain_matching``,
-and the optional ``tracer`` hook.
+A core exposes the API surface the components rely on: ``now``,
+``schedule``, ``schedule_after``, ``run``, ``step``, ``stop``,
+``stop_reason``, ``pending``, ``peak_pending``, ``events_dispatched``,
+``drain_matching``, and the optional ``tracer`` hook.
 """
 
 from __future__ import annotations
 
 import heapq
 from time import perf_counter
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 
 class SimulationError(RuntimeError):
@@ -271,34 +269,6 @@ class Simulator:
                            if not entry[2].cancelled]
             heapq.heapify(self._queue)
         return cancelled
-
-
-#: Kernel-core registry: name -> zero-argument factory.  ``heap`` is the
-#: reference core defined above; ``calendar`` (repro.sim.calendar) is
-#: registered lazily by :func:`make_kernel` so importing the kernel never
-#: drags the calendar module in.
-KERNEL_CORES: Dict[str, Callable[[], "Simulator"]] = {"heap": Simulator}
-
-
-def make_kernel(core: str = "heap") -> "Simulator":
-    """Build a kernel core by registry name (``"heap"`` / ``"calendar"``).
-
-    The machine layer calls this with
-    ``"calendar" if config.calendar_kernel else "heap"``; every core is a
-    drop-in :class:`Simulator` — same API, same deterministic
-    ``(when, seq)`` dispatch order, bit-identical runs
-    (``tests/test_calendar_kernel.py`` holds the cores equivalent).
-    """
-    if core == "calendar" and core not in KERNEL_CORES:
-        from repro.sim.calendar import CalendarSimulator  # registers itself
-        assert KERNEL_CORES.get("calendar") is CalendarSimulator
-    try:
-        factory = KERNEL_CORES[core]
-    except KeyError:
-        raise ValueError(
-            f"unknown kernel core {core!r}; one of {sorted(KERNEL_CORES)}"
-        ) from None
-    return factory()
 
 
 class Ticker:

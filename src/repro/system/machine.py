@@ -35,7 +35,7 @@ from repro.interconnect.messages import reset_msg_ids
 from repro.interconnect.network import Network
 from repro.interconnect.routing import RoutingTable
 from repro.interconnect.topology import HalfSwitchId, TorusTopology
-from repro.sim.kernel import make_kernel
+from repro.sim.calendar import CalendarSimulator
 from repro.sim.rng import DeterministicRng
 from repro.sim.stats import StatsRegistry
 from repro.system.node import IoHooks, Node
@@ -76,7 +76,6 @@ class Machine:
         io_input_period: int = 0,
         controller_node: int = 0,
         error_code: Optional[ErrorCode] = None,
-        slotted_network: bool = True,
     ) -> None:
         self.config = config
         self.workload = workload
@@ -87,7 +86,7 @@ class Machine:
         # workers reusing processes, retried fabric cells).
         reset_txn_ids()
         reset_msg_ids()
-        self.sim = make_kernel("calendar" if config.calendar_kernel else "heap")
+        self.sim = CalendarSimulator()
         self.stats = StatsRegistry()
         self.protocol = resolve_protocol(config.protocol)
         rngs = {"skew": DeterministicRng(seed * 7919 + 1),
@@ -103,8 +102,6 @@ class Machine:
             link_latency=config.link_latency,
             bytes_per_cycle=config.link_bandwidth_bytes_per_cycle,
             buffer_capacity=config.switch_buffer_messages,
-            slotted=slotted_network,
-            express=config.express_hops,
             arbiter=config.arbiter,
         )
 

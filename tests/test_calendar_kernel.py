@@ -1,9 +1,9 @@
 """Calendar kernel core vs heap oracle: bit-identical, structurally sane.
 
-``calendar_kernel`` swaps the machine's event-queue *substrate* (per-cycle
+The calendar core is the machine's event-queue *substrate* (per-cycle
 buckets + overflow tier + zero-delay lane + event recycling, see
 :mod:`repro.sim.calendar`) and must never change what the machine
-computes.  Three layers of evidence:
+computes relative to the reference heap core.  Three layers of evidence:
 
 * a parametrised unit battery running both cores through every public
   semantic (dispatch order, limits, fast-forward, stop, max_events,
@@ -11,8 +11,10 @@ computes.  Three layers of evidence:
 * a randomised differential fuzz: both cores replay identical
   schedule/cancel/run/step/drain scripts and must produce identical
   observable traces, including with a tracer attached;
-* a seeds x shapes x {clean, transient, switch_kill} machine sweep with
-  bit-identical ``RunResult``s and stats counters across modes.
+* a seeds x shapes x {clean, transient, switch_kill} machine sweep that
+  replays ``tests/data/mode_golden.json`` exactly — runs captured while
+  the machine could still run on either core and both agreed on every
+  ``RunResult`` field, counter, and dispatch.
 
 The dispatch-throughput claim lives in
 ``benchmarks/test_kernel_hotpath.py``; this file is the correctness
@@ -23,13 +25,13 @@ import random
 
 import pytest
 
+from golden import assert_replays, load_mode_records
 from repro.config import SystemConfig
 from repro.sim.calendar import (MAX_WIDTH, MIN_WIDTH, CalendarSimulator)
-from repro.sim.kernel import (KERNEL_CORES, SimulationError, Simulator,
-                              make_kernel)
+from repro.sim.kernel import SimulationError, Simulator
 from repro.sim.profile import DispatchProfile
 from repro.system.machine import Machine
-from repro.workloads import apache, jbb
+from repro.workloads import apache
 
 CORES = [Simulator, lambda: CalendarSimulator(width=64), CalendarSimulator]
 CORE_IDS = ["heap", "calendar_w64", "calendar_w1024"]
@@ -380,24 +382,11 @@ def test_queue_health_reports_schedule_mix():
     assert 0.0 <= health["free_list_hit_rate"] <= 1.0
 
 
-def test_make_kernel_registry():
-    assert isinstance(make_kernel("heap"), Simulator)
-    calendar = make_kernel("calendar")
-    assert isinstance(calendar, CalendarSimulator)
-    assert KERNEL_CORES["calendar"] is CalendarSimulator
-    with pytest.raises(ValueError, match="unknown kernel core"):
-        make_kernel("btree")
-
-
 def test_machine_wires_core_from_config():
     config = SystemConfig.tiny()
     machine = Machine(config, apache(num_cpus=config.num_processors,
                                      scale=64, seed=1), seed=1)
-    assert isinstance(machine.sim, CalendarSimulator)
-    legacy = SystemConfig.tiny(calendar_kernel=False)
-    machine = Machine(legacy, apache(num_cpus=legacy.num_processors,
-                                     scale=64, seed=1), seed=1)
-    assert type(machine.sim) is Simulator
+    assert type(machine.sim) is CalendarSimulator
 
 
 # ----------------------------------------------------------------------
@@ -480,51 +469,9 @@ def test_fuzz_traces_identical_with_tracer(seed):
 # Machine equivalence: seeds x shapes x fault scenarios
 # ----------------------------------------------------------------------
 
-SHAPES = [(2, 2), (4, 4), (4, 8)]
-SEEDS = [1, 2]
-SCENARIOS = ["clean", "transient", "switch_kill"]
+CELLS = load_mode_records("calendar")
 
 
-def _machine_run(calendar: bool, shape, seed: int, scenario: str):
-    if shape == (2, 2):
-        config = SystemConfig.tiny(calendar_kernel=calendar)
-    else:
-        config = SystemConfig.from_shape(*shape, preset="tiny",
-                                         calendar_kernel=calendar)
-    workload = (apache if seed % 2 else jbb)(
-        num_cpus=config.num_processors, scale=64, seed=seed)
-    machine = Machine(config, workload, seed=seed)
-    if scenario == "transient":
-        machine.inject_transient_faults(period=2_500, first_at=1_200)
-    elif scenario == "switch_kill":
-        machine.inject_switch_kill(at_cycle=2_000)
-    result = machine.run(1_500, max_cycles=5_000_000)
-    fields = (
-        result.cycles,
-        result.committed_instructions,
-        result.completed,
-        result.crashed,
-        result.crash_reason,
-        result.recoveries,
-        result.lost_instructions,
-        result.reexecuted_instructions,
-        machine.stats.counters_matching(""),
-        machine.controllers.rpcn,
-    )
-    return fields, machine.sim.events_dispatched, machine.sim.peak_pending
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-@pytest.mark.parametrize("shape", SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
-@pytest.mark.parametrize("scenario", SCENARIOS)
-def test_modes_bit_identical(shape, seed, scenario):
-    cal_fields, cal_events, cal_peak = _machine_run(True, shape, seed,
-                                                    scenario)
-    ref_fields, ref_events, ref_peak = _machine_run(False, shape, seed,
-                                                    scenario)
-    assert cal_fields == ref_fields, (
-        f"shape={shape} seed={seed} {scenario}: kernel cores diverged"
-    )
-    # The substrate swap is invisible right down to the event stream.
-    assert cal_events == ref_events
-    assert cal_peak == ref_peak
+@pytest.mark.parametrize("cell", sorted(CELLS))
+def test_modes_bit_identical(cell):
+    assert_replays(CELLS[cell])

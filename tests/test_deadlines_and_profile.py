@@ -187,14 +187,6 @@ def test_profile_reports_express_hop_efficiency():
     payload = json.loads(report.to_json())
     assert payload["network"] == net
 
-    # Express off: the block must report zero express activity.
-    off = profile_spec(spec.with_(config_overrides=(
-        ("express_hops", False),)), use_cprofile=False)
-    assert off.network["express_enabled"] is False
-    assert off.network["express_flights"] == 0
-    assert off.network["express_hops"] == 0
-    assert off.network["hops_per_dispatch"] in (0.0, 1.0)
-
 
 # ----------------------------------------------------------------------
 # Flattened SyntheticWorkload.op vs the readable reference helpers

@@ -1,113 +1,40 @@
 """Express hops vs hop-by-hop: bit-identical across seeds, shapes, faults.
 
-``express_hops`` changes how idle path segments are *scheduled* (one
+Express advancement changes how idle path segments are *scheduled* (one
 ``net.express`` dispatch at segment end vs one ``net.hop`` dispatch per
 switch), never what the network *does*: link claims, switch residency,
 contention, and delivery order must be indistinguishable.  The delivery-
 and claim-slotting rules (see the Network docstring) canonicalise the two
-same-cycle tie classes express advancement would otherwise perturb, so
-every run must replay identically with express on or off — including
-runs where faults land mid-segment and force flights to materialise,
-which is the interesting case: the restored hop-by-hop state must be
-exactly what per-switch scheduling would have produced.
+same-cycle tie classes express advancement would otherwise perturb.
 
-The idle-stream dispatch-reduction and wall-clock claims live in
+Machine level: until the machine lost its hop-by-hop option, this suite
+ran every cell both ways and held them bit-identical, including runs
+where faults land mid-segment and force flights to materialise.
+``tests/data/mode_golden.json`` keeps those runs; each cell here must
+replay them exactly.  Network level: ``Network(express=False)`` is the
+live reference for the materialisation tests below.
+
+The idle-stream dispatch-reduction claim lives in
 ``benchmarks/test_network_hotpath.py``; this file is the correctness
 sweep.
 """
 
-import dataclasses
-
 import pytest
 
-from repro.config import SystemConfig
+from golden import assert_replays, load_mode_records
 from repro.interconnect.messages import Message, MessageKind
 from repro.interconnect.network import Network
 from repro.interconnect.routing import RoutingTable
 from repro.interconnect.topology import TorusTopology
 from repro.sim.kernel import Simulator
-from repro.system.machine import Machine
-from repro.workloads import apache, jbb
 
-SHAPES = [(2, 2), (4, 4), (4, 8), (8, 8)]
-SEEDS = [1, 2]
-SCENARIOS = ["clean", "transient", "switch_kill"]
-
-# Express telemetry is the one legitimate difference between the modes.
-EXPRESS_COUNTERS = ("net.express_flights", "net.express_hops",
-                    "net.express_interrupts")
+CELLS = load_mode_records("express")
+SWEEP = sorted(cell for cell in CELLS if cell != "mid-segment-drop")
 
 
-def _config(shape, express: bool) -> SystemConfig:
-    if shape == (2, 2):
-        return SystemConfig.tiny(express_hops=express)
-    return SystemConfig.from_shape(*shape, preset="tiny",
-                                   express_hops=express)
-
-
-def _run(express: bool, shape, seed: int, scenario: str):
-    config = _config(shape, express)
-    if shape[0] * shape[1] >= 32:
-        # Big tori get a shorter run: the sweep stays O(seconds).
-        instructions, scale = 600, 64
-    else:
-        instructions, scale = 2_000, 64
-    workload = (apache if seed % 2 else jbb)(
-        num_cpus=config.num_processors, scale=scale, seed=seed)
-    machine = Machine(config, workload, seed=seed)
-    if scenario == "transient":
-        machine.inject_transient_faults(period=2_500, first_at=1_200)
-    elif scenario == "switch_kill":
-        machine.inject_switch_kill(at_cycle=2_000)
-    result = machine.run(instructions, max_cycles=5_000_000)
-    fields = (
-        result.cycles,
-        result.committed_instructions,
-        result.completed,
-        result.crashed,
-        result.crash_reason,
-        result.recoveries,
-        result.lost_instructions,
-        result.reexecuted_instructions,
-        machine.stats.counter("net.messages_sent").value,
-        machine.stats.counter("net.messages_delivered").value,
-        machine.stats.counter("net.messages_lost").value,
-        machine.stats.counter("net.bytes_sent").value,
-        machine.stats.counter("net.contention_cycles").value,
-        machine.stats.counter("net.buffer_stalls").value,
-        machine.stats.sum_counters(".cache.loads"),
-        machine.stats.sum_counters(".cache.stores"),
-        machine.stats.sum_counters(".cache.misses"),
-        machine.controllers.rpcn,
-    )
-    express_flights = machine.stats.counter("net.express_flights").value
-    return fields, machine.sim.events_dispatched, express_flights
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-@pytest.mark.parametrize("shape", SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
-@pytest.mark.parametrize("scenario", SCENARIOS)
-def test_modes_bit_identical(shape, seed, scenario):
-    exp_fields, exp_events, exp_flights = _run(True, shape, seed, scenario)
-    ref_fields, ref_events, ref_flights = _run(False, shape, seed, scenario)
-    assert exp_fields == ref_fields, (
-        f"shape={shape} seed={seed} {scenario}: modes diverged\n"
-        f"  express: {exp_fields}\n  hop-by-hop: {ref_fields}"
-    )
-    assert ref_flights == 0
-    # The whole point: same run, never more kernel events (strictly fewer
-    # whenever any segment actually went express).
-    assert exp_events <= ref_events
-    if exp_flights:
-        assert exp_events < ref_events
-
-
-def test_express_disabled_under_legacy_scheduling():
-    """Express requires slotted hops; the legacy scheme must ignore it."""
-    sim = Simulator()
-    topo = TorusTopology(4, 4)
-    net = Network(sim, topo, RoutingTable(topo), slotted=False, express=True)
-    assert not net.express
+@pytest.mark.parametrize("cell", SWEEP)
+def test_modes_bit_identical(cell):
+    assert_replays(CELLS[cell])
 
 
 def _segment_network(express: bool):
@@ -115,8 +42,7 @@ def _segment_network(express: bool):
     the whole segment) and the hooks to observe it."""
     sim = Simulator()
     topo = TorusTopology(8, 8)
-    net = Network(sim, topo, RoutingTable(topo), slotted=True,
-                  express=express)
+    net = Network(sim, topo, RoutingTable(topo), express=express)
     delivered = []
     for nid in range(64):
         net.attach(nid, lambda m: delivered.append((sim.now, m.src, m.dst)))
@@ -164,22 +90,9 @@ def test_drop_fault_lands_mid_segment_on_correct_switch():
 
 def test_transient_mid_segment_drop_machine_equivalent():
     """Machine-level: a drop fault whose armed window opens while express
-    segments are live must produce identical recoveries in both modes.
-    The hold/release protocol brackets each armed window, so the drop
-    lands inside a switch both modes agree on."""
-    results = {}
-    for express in (True, False):
-        config = dataclasses.replace(SystemConfig.from_shape(
-            4, 8, preset="tiny"), express_hops=express)
-        machine = Machine(config, apache(num_cpus=32, scale=64, seed=5),
-                          seed=5)
-        machine.inject_transient_faults(period=1_500, first_at=900)
-        result = machine.run(800, max_cycles=5_000_000)
-        results[express] = (
-            result.cycles, result.committed_instructions,
-            result.recoveries, result.crashed,
-            machine.stats.counter("net.messages_lost").value,
-            machine.stats.counter("net.messages_delivered").value,
-        )
-        assert result.recoveries > 0, "scenario fired no recovery"
-    assert results[True] == results[False]
+    segments are live produced identical recoveries with express on and
+    off; the hold/release protocol brackets each armed window, so the
+    drop lands inside a switch both agree on."""
+    fresh = assert_replays(CELLS["mid-segment-drop"])
+    assert fresh["result"]["recoveries"] > 0, "scenario fired no recovery"
+    assert fresh["counters"]["net.express_flights"] > 0

@@ -191,9 +191,9 @@ def test_drop_hook_loses_message_and_notifies():
     assert net.stats.counter("net.messages_lost").value == 1
 
 
-@pytest.mark.parametrize("slotted", [True, False])
-def test_kill_switch_loses_buffered_and_future_messages(slotted):
-    sim, topo, routing, net = make_net(slotted=slotted)
+@pytest.mark.parametrize("express", [True, False])
+def test_kill_switch_loses_buffered_and_future_messages(express):
+    sim, topo, routing, net = make_net(express=express)
     delivered, lost = [], []
     for nid in range(16):
         net.attach(nid, delivered.append)
@@ -219,9 +219,9 @@ def test_kill_switch_loses_buffered_and_future_messages(slotted):
     assert len(delivered) == 1
 
 
-@pytest.mark.parametrize("slotted", [True, False])
-def test_drain_discards_in_flight(slotted):
-    sim, topo, routing, net = make_net(slotted=slotted)
+@pytest.mark.parametrize("express", [True, False])
+def test_drain_discards_in_flight(express):
+    sim, topo, routing, net = make_net(express=express)
     delivered = []
     for nid in range(16):
         net.attach(nid, delivered.append)

@@ -194,3 +194,26 @@ def test_done_core_stays_idle():
     n = len(cache.accesses)
     sim.run(limit=50_000)
     assert len(cache.accesses) == n
+
+
+def test_per_op_burst_loop_matches_fast_path():
+    """The per-op loop (``_burst_slow``, used with I/O hooks and stub
+    caches) and the inlined fast loop produce the same machine run:
+    RunResult, every counter and every kernel dispatch — through stores,
+    CLB logging and recovery."""
+    from repro.system.machine import Machine
+    from repro.workloads import jbb
+
+    def run(fast: bool):
+        config = SystemConfig.tiny()
+        machine = Machine(config, jbb(num_cpus=4, scale=64, seed=2), seed=2)
+        machine.inject_transient_faults(period=2_500, first_at=1_200)
+        for node in machine.nodes:
+            assert node.core._fast_path
+            node.core._fast_path = fast
+        result = machine.run(2_000, max_cycles=5_000_000)
+        return result, machine.stats.snapshot(), machine.sim.events_dispatched
+
+    fast, per_op = run(True), run(False)
+    assert fast[0].recoveries > 0
+    assert fast == per_op

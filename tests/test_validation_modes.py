@@ -1,83 +1,39 @@
-"""Event-driven vs legacy-polled validation: bit-identical runs.
+"""Event-driven validation replays its committed polled-mode oracle.
 
-The two settings of ``event_driven_validation`` share one announce policy
-and differ only in scheduling (triggers + resync timers vs the historical
-poll loop re-checking the same state), so every run must replay
-identically — across seeds, machine shapes, fault scenarios, and nonzero
-detection latency.  The poll loop doubles as an oracle: a poll that ever
-catches readiness the event triggers missed would make the modes diverge
-and fail these tests.  (The full-size default-machine comparison lives in
-``benchmarks/test_validation_hotpath.py``.)
+Sign-off is recomputed only when a clock edge, a pre-edge transaction
+completion, or a detection-latency window close can change it.  Until the
+historical poll loop was removed, this suite ran both schedules with one
+announce policy and held them bit-identical across seeds, machine
+shapes, fault scenarios, and nonzero detection latency.  A poll that
+ever caught readiness the triggers missed would have made them diverge.
+``tests/data/mode_golden.json`` keeps those runs; each cell here must
+replay them exactly.
 """
 
 import pytest
 
-from repro.config import SystemConfig
-from repro.system.machine import Machine
-from repro.workloads import apache
+from golden import assert_replays, load_mode_records
 
-SHAPES = [(2, 2), (2, 3)]
-SEEDS = [1, 2]
-SCENARIOS = ["clean", "transient", "detection"]
+CELLS = load_mode_records("validation")
 
 
-def _run(event_driven: bool, shape, seed: int, scenario: str):
-    if shape == (2, 2):
-        config = SystemConfig.tiny(event_driven_validation=event_driven)
-    else:
-        config = SystemConfig.from_shape(
-            *shape, preset="tiny", event_driven_validation=event_driven)
-    detection = 2 * config.checkpoint_interval if scenario == "detection" else 0
-    workload = apache(num_cpus=config.num_processors, scale=64, seed=seed)
-    machine = Machine(config, workload, seed=seed,
-                      detection_latency=detection)
-    if scenario == "transient":
-        # Schedule chosen so every (shape, seed) cell sees >= 1 recovery.
-        machine.inject_transient_faults(period=2_500, first_at=1_200)
-    result = machine.run(2_000, max_cycles=5_000_000)
-    fields = (
-        result.cycles,
-        result.committed_instructions,
-        result.target_instructions,
-        result.completed,
-        result.crashed,
-        result.crash_reason,
-        result.recoveries,
-        result.lost_instructions,
-        result.reexecuted_instructions,
-        machine.stats.counter("net.messages_sent").value,
-        machine.stats.counter("net.messages_delivered").value,
-        machine.stats.counter("net.bytes_sent").value,
-        machine.controllers.rpcn,
-    )
-    return fields, machine.sim.events_dispatched
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-@pytest.mark.parametrize("shape", SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
-@pytest.mark.parametrize("scenario", SCENARIOS)
-def test_modes_bit_identical(shape, seed, scenario):
-    event_fields, event_events = _run(True, shape, seed, scenario)
-    polled_fields, polled_events = _run(False, shape, seed, scenario)
-    assert event_fields == polled_fields, (
-        f"shape={shape} seed={seed} {scenario}: modes diverged\n"
-        f"  event-driven: {event_fields}\n  polled      : {polled_fields}"
-    )
-    # The whole point: same run, fewer kernel events.
-    assert event_events < polled_events
-    if scenario == "transient":
+@pytest.mark.parametrize("cell", sorted(CELLS))
+def test_modes_bit_identical(cell):
+    fresh = assert_replays(CELLS[cell])
+    if cell.startswith("transient"):
         # The scenario must actually exercise recovery to mean anything.
-        assert event_fields[6] > 0, "transient scenario caused no recovery"
+        assert fresh["result"]["recoveries"] > 0, \
+            "transient scenario caused no recovery"
 
 
-@pytest.mark.parametrize("shape", SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
+@pytest.mark.parametrize("shape", ["2x2", "2x3"])
 def test_detection_latency_still_delays_validation(shape):
-    """Nonzero detection latency must gate the recovery point in both
-    modes equally (the detection timer is shared machinery)."""
-    final_rpcn = {}
-    for event_driven in (True, False):
-        fields, _ = _run(event_driven, shape, 1, "detection")
-        final_rpcn[event_driven] = fields[-1]
-        clean_fields, _ = _run(event_driven, shape, 1, "clean")
-        assert fields[-1] <= clean_fields[-1]
-    assert final_rpcn[True] == final_rpcn[False]
+    """Nonzero detection latency holds the recovery point back: fewer
+    RPCN advances than the same run without it, on every node."""
+    detection = assert_replays(CELLS[f"detection-{shape}-1"])["counters"]
+    clean = assert_replays(CELLS[f"clean-{shape}-1"])["counters"]
+    updates = [k for k in clean if k.endswith(".validation.rpcn_updates")]
+    assert updates
+    for key in updates:
+        assert detection[key] <= clean[key]
+    assert sum(detection[k] for k in updates) < sum(clean[k] for k in updates)
