@@ -19,27 +19,36 @@ after:
   ``test_calendar_kernel.py``) and of the hot-path benchmarks'
   equivalence guards, captured while each still proved its alternative
   machine path bit-identical to the default one.
+* ``ROUTE_SHAPES`` / ``ROUTE_KILL_SHAPES`` -> ``route_golden.json``, the
+  all-pairs routing tables (display form, one digest per case) of every
+  listed shape and of every single half-switch kill on the kill shapes,
+  captured from the networkx-based ``RoutingTable``.
 
 Re-run only to *extend* the matrix (new shapes/faults/seeds), never to
 "refresh" baselines after a divergence — that would turn the oracle into
 a mirror.  Existing records must come out byte-identical.
 
-    PYTHONPATH=src python tests/gen_protocol_golden.py
+    PYTHONPATH=src python tests/gen_protocol_golden.py [all|runs|routes]
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
-from typing import Callable, Dict
+from typing import Callable, Dict, Iterator, Optional, Tuple
 
 from golden import (
     MODE_GOLDEN_PATH,
     PROTOCOL_GOLDEN_PATH,
+    ROUTE_GOLDEN_PATH,
     compact,
+    route_case,
     run_golden,
 )
 from repro.experiments import RunSpec
+from repro.interconnect.routing import RoutingTable
+from repro.interconnect.topology import HalfSwitchId, TorusTopology
 
 #: The equivalence matrix: seeds x shapes x fault modes, sized so the
 #: whole golden sweep replays in well under a minute.
@@ -163,6 +172,32 @@ MODE_CELLS: Dict[str, Dict[str, RunSpec]] = {
 }
 
 
+#: Fault-free routing tables, one case per shape.
+ROUTE_SHAPES = ((2, 2), (2, 4), (3, 5), (4, 4), (4, 8), (8, 8))
+#: Shapes whose every single half-switch kill is a case of its own.
+ROUTE_KILL_SHAPES = ((4, 4), (3, 5))
+
+
+def route_case_specs() -> Iterator[Tuple[str, int, int, Optional[HalfSwitchId]]]:
+    """``(case id, width, height, killed half-switch or None)`` for every
+    route-golden case."""
+    for w, h in ROUTE_SHAPES:
+        yield f"{w}x{h}", w, h, None
+    for w, h in ROUTE_KILL_SHAPES:
+        for half in TorusTopology(w, h).all_half_switches():
+            yield f"{w}x{h}-kill-{half!r}", w, h, half
+
+
+def route_record(width: int, height: int,
+                 killed: Optional[HalfSwitchId]) -> dict:
+    """The routing table of one case, in route-golden form."""
+    topo = TorusTopology(width, height)
+    if killed is not None:
+        topo.kill_half_switch(killed)
+    routing = RoutingTable(topo)
+    return route_case(topo.num_nodes, routing.path)
+
+
 def _write(path: str, payload: dict) -> None:
     os.makedirs(os.path.dirname(path), exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
@@ -170,7 +205,7 @@ def _write(path: str, payload: dict) -> None:
         fh.write("\n")
 
 
-def main() -> None:
+def write_runs() -> None:
     records = []
     for spec in GOLDEN_SPECS:
         record = run_golden(spec)
@@ -188,6 +223,24 @@ def main() -> None:
     _write(MODE_GOLDEN_PATH, {"version": 1, "suites": suites})
     total = sum(len(cells) for cells in suites.values())
     print(f"wrote {total} mode records to {MODE_GOLDEN_PATH}")
+
+
+def write_routes() -> None:
+    cases = {case: route_record(w, h, killed)
+             for case, w, h, killed in route_case_specs()}
+    _write(ROUTE_GOLDEN_PATH, {"version": 1, "cases": cases})
+    print(f"wrote {len(cases)} route records to {ROUTE_GOLDEN_PATH}")
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("which", nargs="?", default="all",
+                        choices=("all", "runs", "routes"))
+    which = parser.parse_args().which
+    if which in ("all", "runs"):
+        write_runs()
+    if which in ("all", "routes"):
+        write_routes()
 
 
 if __name__ == "__main__":

@@ -11,7 +11,11 @@ suite had proved those paths bit-identical to the default one:
   keyed by suite and test id; the counter snapshot is stored as a digest
   to keep the file small.
 
-``tests/gen_protocol_golden.py`` writes both.  A replay that diverges
+A third, ``route_golden.json``, holds the all-pairs routing tables the
+networkx-based ``RoutingTable`` computed (one digest per torus shape or
+single half-switch kill), replayed by ``tests/test_route_golden.py``.
+
+``tests/gen_protocol_golden.py`` writes all three.  A replay that diverges
 means the simulator's behaviour changed, not that the data is stale.
 """
 
@@ -27,6 +31,7 @@ from repro.experiments import RunSpec, build_machine
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 PROTOCOL_GOLDEN_PATH = os.path.join(DATA_DIR, "protocol_golden.json")
 MODE_GOLDEN_PATH = os.path.join(DATA_DIR, "mode_golden.json")
+ROUTE_GOLDEN_PATH = os.path.join(DATA_DIR, "route_golden.json")
 
 RESULT_FIELDS = (
     "cycles", "committed_instructions", "target_instructions", "completed",
@@ -93,3 +98,36 @@ def assert_replays(record: dict) -> dict:
     assert fresh["events_dispatched"] == record["events_dispatched"], \
         "kernel dispatch count diverged"
     return fresh
+
+
+def format_route(vertices) -> str:
+    """Display form of one route: ``("node", n)`` endpoints as ``n<id>``,
+    ``("sw", half)`` switches by the half-switch repr (``ew(1,0)``)."""
+    return ">".join(f"n{v[1]}" if v[0] == "node" else repr(v[1])
+                    for v in vertices)
+
+
+def route_case(num_nodes: int, display_path) -> dict:
+    """A route-golden record: ``display_path(src, dst)`` (display-form
+    vertices) over every ordered pair of distinct nodes, as a digest plus
+    two readable totals."""
+    lines = []
+    switches = 0
+    for src in range(num_nodes):
+        for dst in range(num_nodes):
+            if src != dst:
+                route = list(display_path(src, dst))
+                switches += len(route) - 2
+                lines.append(f"{src}->{dst}:{format_route(route)}")
+    return {
+        "pairs": len(lines),
+        "switch_visits": switches,
+        "routes_sha256": hashlib.sha256(
+            "\n".join(lines).encode()).hexdigest(),
+    }
+
+
+def load_route_records() -> Dict[str, dict]:
+    """``{case id: route record}``; ids are ``WxH`` or ``WxH-kill-<half>``."""
+    with open(ROUTE_GOLDEN_PATH, encoding="utf-8") as fh:
+        return json.load(fh)["cases"]
