@@ -42,7 +42,10 @@ DIRECTIONS = ("inj", "east", "west", "north", "south", "cross")
 
 def classify_direction(prev, here, width: int, height: int) -> str:
     """Input direction of a message at vertex ``here`` that came from
-    ``prev`` (both network vertices), on a ``width x height`` torus.
+    ``prev`` (both in the display form of
+    :meth:`~repro.interconnect.topology.TorusTopology.display`), on a
+    ``width x height`` torus.  The network evaluates this once per link
+    and looks the result up by the link a flight arrived over.
 
     ``inj`` — injected by the local node; ``cross`` — the ew/ns
     crossover inside one switch; otherwise the ring port it entered by

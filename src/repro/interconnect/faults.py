@@ -17,7 +17,7 @@ from typing import Optional
 
 from repro.interconnect.messages import Message
 from repro.interconnect.network import Network
-from repro.interconnect.topology import HalfSwitchId, Vertex
+from repro.interconnect.topology import HalfSwitchId
 from repro.sim.kernel import Simulator
 
 
@@ -59,7 +59,7 @@ class PeriodicArmedFault:
         self.injected = 0
         self._armed = False
         self._stopped = False
-        # Switch entries seen this cycle while armed: (msg, vertex).
+        # Switch entries seen this cycle while armed: (msg, half-switch).
         self._candidates: list = []
         #: Optional :class:`repro.obs.trace.TraceLog` (wired by
         #: ``Machine.attach_tracer``): each injection is journalled.
@@ -87,14 +87,14 @@ class PeriodicArmedFault:
             self._armed = True
             self.network.express_hold()
 
-    def _hook(self, msg: Message, vertex: Vertex) -> bool:
+    def _hook(self, msg: Message, half: HalfSwitchId) -> bool:
         if not self._armed:
             return False
         # Never drop synchronously: collect this cycle's switch entries
         # and resolve the victim at end of cycle (see class docstring).
         if not self._candidates:
             self.sim.schedule(self.sim.now, self._resolve, "fault.resolve")
-        self._candidates.append((msg, vertex))
+        self._candidates.append((msg, half))
         return False
 
     def _resolve(self) -> None:
@@ -102,20 +102,20 @@ class PeriodicArmedFault:
         self._candidates = []
         if not self._armed or not candidates:
             return  # stopped between collection and resolution
-        msg, vertex = min(candidates, key=lambda c: c[0].msg_id)
+        msg, half = min(candidates, key=lambda c: c[0].msg_id)
         self._armed = False
         self.network.express_release()
         self.injected += 1
         trace = self.trace
         if trace is not None:
             trace.emit(self.sim.now, "fault.inject",
-                       fault=type(self).__name__, at=str(vertex[1]),
+                       fault=type(self).__name__, at=str(half),
                        msg_kind=msg.kind.name, src=msg.src, dst=msg.dst)
         if self.remaining is None or self.injected < self.remaining:
             self.sim.schedule_after(self.period, self._arm, "fault.arm")
         if self._fire(msg):
             self.network.drop_in_flight(
-                msg, f"fault injection at {vertex[1]}")
+                msg, f"fault injection at {half}")
 
     def _fire(self, msg: Message) -> bool:  # pragma: no cover - abstract
         raise NotImplementedError

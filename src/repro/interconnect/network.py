@@ -40,12 +40,21 @@ current cycle, then falls back to one event per hop for the rest of the
 path.  Ties at the materialisation cycle resolve observer-first (a hop
 whose arrival is scheduled for *this* cycle has not happened yet) — the
 same deterministic-tie family as the release-cycle rule below.
+
+*Int-indexed state.*  Routes arrive as tuples of int vertex ids plus a
+parallel tuple of int link ids (:mod:`repro.interconnect.routing`), so
+the hot path never builds or hashes a vertex or link key: a vertex is a
+switch iff ``v >= num_nodes``, per-link state (occupancy horizon, claim
+chain head) and per-vertex state (buffer residency, next-free register)
+are lists indexed by id, the express claim tables are int-keyed dicts
+(kept as dicts so "no claims" stays one truthiness test), and the dead
+set is the topology's set of dead vertex ids.  Drop hooks and loss
+reasons see the :class:`HalfSwitchId` the switch id names.
 """
 
 from __future__ import annotations
 
 import sys
-from collections import defaultdict
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.interconnect.arbiter import (
@@ -55,12 +64,12 @@ from repro.interconnect.arbiter import (
 )
 from repro.interconnect.messages import Message
 from repro.interconnect.routing import RoutingTable
-from repro.interconnect.topology import HalfSwitchId, TorusTopology, Vertex
+from repro.interconnect.topology import HalfSwitchId, TorusTopology
 from repro.sim.kernel import Simulator
 from repro.sim.stats import StatsRegistry
 
 DeliverFn = Callable[[Message], None]
-DropHook = Callable[[Message, Vertex], bool]
+DropHook = Callable[[Message, HalfSwitchId], bool]
 LostFn = Callable[[Message, str], None]
 
 # Hot-path event labels, interned once per process: the hop label alone is
@@ -91,17 +100,19 @@ class _Flight:
     ``no_express`` pins a materialised flight to hop-by-hop for good.
     """
 
-    __slots__ = ("msg", "mid", "path", "index", "dropped", "epoch", "net",
-                 "ser", "no_express", "exp_base", "exp_times", "exp_saved",
-                 "exp_event", "claim_cycle", "claim_link", "claim_start",
-                 "claim_base", "claim_next", "claim_event")
+    __slots__ = ("msg", "mid", "path", "links", "index", "dropped", "epoch",
+                 "net", "ser", "no_express", "exp_base", "exp_times",
+                 "exp_saved", "exp_event", "claim_cycle", "claim_link",
+                 "claim_start", "claim_base", "claim_next", "claim_event")
 
-    def __init__(self, msg: Message, path: List[Vertex], epoch: int,
-                 net: "Network", ser: int) -> None:
+    def __init__(self, msg: Message, path: Tuple[int, ...],
+                 links: Tuple[int, ...], epoch: int, net: "Network",
+                 ser: int) -> None:
         self.msg = msg
         self.mid = msg.msg_id   # hop-path alias (skips the msg deref)
-        self.path = path
-        self.index = 0          # vertex the message is currently at
+        self.path = path        # vertex ids, src node to dst node
+        self.links = links      # links[k] joins path[k] -> path[k + 1]
+        self.index = 0          # path index the message is currently at
         self.dropped = False
         self.epoch = epoch
         self.net = net
@@ -109,14 +120,14 @@ class _Flight:
         self.no_express = False
         self.exp_base = 0
         self.exp_times: Optional[List[int]] = None
-        self.exp_saved: Optional[List[Optional[int]]] = None
+        self.exp_saved: Optional[List[int]] = None
         self.exp_event = None
         # Claim-chain bookkeeping (see Network._claim_link): the cycle and
         # start of this flight's latest link claim, the link horizon before
         # the chain began, the next chain member, and the scheduled hop
         # event a re-resolution must displace.
         self.claim_cycle = -1
-        self.claim_link: Optional[Tuple[Vertex, Vertex]] = None
+        self.claim_link = -1
         self.claim_start = 0
         self.claim_base = 0
         self.claim_next: Optional["_Flight"] = None
@@ -175,19 +186,24 @@ class Network:
         self._arb_note = self.arbiter.note_delivery
 
         self._endpoints: Dict[int, DeliverFn] = {}
-        self._link_free: Dict[Tuple[Vertex, Vertex], int] = {}
-        # Residency: msg_id -> cycle the buffer entry is released.
-        self._resident_until: Dict[Vertex, Dict[int, int]] = defaultdict(dict)
+        # Vertex ids below this are node endpoints; the rest are switches.
+        self._num_nodes = topology.num_nodes
+        # Per-link occupancy horizon (0 = never claimed), by link id.
+        self._link_free: List[int] = [0] * topology.num_links
+        # Residency, by vertex id: msg_id -> cycle the buffer entry is
+        # released (node endpoints' tables stay empty).
+        self._resident_until: List[Dict[int, int]] = [
+            {} for _ in range(topology.num_vertices)]
         # Per-switch next-free-cycle register: the max release cycle ever
         # written for the switch.  Monotone per write, so "every entry's
         # release has passed" — the express idle test — is one O(1)
         # comparison instead of a table scan.
-        self._switch_next_free: Dict[Vertex, int] = {}
-        # Express claims: resources an in-express flight will use, keyed
-        # back to the flight so any other traffic touching them can
-        # materialise it first.
-        self._express_links: Dict[Tuple[Vertex, Vertex], _Flight] = {}
-        self._express_switches: Dict[Vertex, _Flight] = {}
+        self._switch_next_free: List[int] = [0] * topology.num_vertices
+        # Express claims: link ids / switch ids an in-express flight will
+        # use, keyed back to the flight so any other traffic touching them
+        # can materialise it first.
+        self._express_links: Dict[int, _Flight] = {}
+        self._express_switches: Dict[int, _Flight] = {}
         self._express_flights: Dict[int, _Flight] = {}
         # While > 0 express advancement is ineligible (armed drop hooks,
         # unmanaged hooks); see express_hold/express_release.
@@ -208,13 +224,18 @@ class Network:
         self._deliver_cycle = -1
         # Claim slotting (see _claim_chain): most recent claimant per link,
         # so a same-cycle claim collision can find and re-resolve the chain.
-        self._claim_head: Dict[Tuple[Vertex, Vertex], _Flight] = {}
+        self._claim_head: List[Optional[_Flight]] = [
+            None] * topology.num_links
+        # Input direction of a flight that entered a vertex over each link
+        # (the non-fifo arbiters' key), built on first use.
+        self._link_direction: Optional[List[Optional[str]]] = None
         self._in_flight: Dict[int, _Flight] = {}
         self._drop_hooks: List[DropHook] = []
         self._lost_listeners: List[LostFn] = []
         self._epoch = 0
-        # Live view of the topology's dead-switch set (per-hop check).
-        self._dead_switches = topology.live_dead_set()
+        # The topology's dead vertex-id set, mutated in place on kills
+        # (per-hop check).
+        self._dead_switches = topology.dead_vertices
 
         # Pre-bound counters: send/deliver/lose run once per message (and
         # contention accounting once per hop), so the per-call f-string
@@ -254,6 +275,9 @@ class Network:
         :class:`~repro.interconnect.faults.PeriodicArmedFault`) brackets
         its armed windows with :meth:`express_hold` / :meth:`express_release`
         itself; an unmanaged hook pins a hold for the network's lifetime.
+        Hooks are therefore called only while some hold is in force: a
+        managed hook is never consulted outside the armed windows it
+        brackets.
         """
         self._drop_hooks.append(hook)
         if not managed:
@@ -305,8 +329,9 @@ class Network:
                 LABEL_LOCAL,
             )
             return
-        path = self.routing.path(msg.src, msg.dst)
-        flight = _Flight(msg, path, self._epoch, self, self._serialization(msg))
+        path, links = self.routing.route(msg.src, msg.dst)
+        flight = _Flight(msg, path, links, self._epoch, self,
+                         self._serialization(msg))
         self._in_flight[msg.msg_id] = flight
         if self.express:
             credit = self._express_credit
@@ -341,7 +366,7 @@ class Network:
         now = self.sim.now
         depth = sum(
             1
-            for table in self._resident_until.values()
+            for table in self._resident_until
             for until in table.values()
             if until > now
         )
@@ -373,11 +398,8 @@ class Network:
         """Move the message from its current vertex onto the next link."""
         if flight.dropped or flight.epoch != self._epoch:
             return
-        path = flight.path
         index = flight.index
-        here = path[index]
-        nxt = path[index + 1]
-        link = (here, nxt)
+        link = flight.links[index]
         if self._express_links:
             # This send/hop crosses an in-express segment: the express
             # flight claimed the link, so restore its hop-by-hop state
@@ -387,19 +409,21 @@ class Network:
                 self._materialize(other)
         if (self._express_on
                 and not flight.no_express
-                and len(path) - index >= 4
+                and len(flight.path) - index >= 4
                 and self._try_express(flight)):
             return
         now = self.sim.now
-        head = self._claim_head.get(link)
+        here = flight.path[index]
+        head = self._claim_head[link]
         if (head is not None and head.claim_cycle == now
                 and head.claim_link == link):
             self._claim_chain(flight, link, here, head)
             return
-        base = self._link_free.get(link, 0)
+        link_free = self._link_free
+        base = link_free[link]
         start = now if base <= now else base
         ser = flight.ser
-        self._link_free[link] = start + ser
+        link_free[link] = start + ser
         flight.claim_cycle = now
         flight.claim_link = link
         flight.claim_start = start
@@ -410,19 +434,19 @@ class Network:
         if wait:
             self.c_contention_cycles.add(wait)
         # _finish_claim, inlined: this is the one claim per hop dispatch.
-        if here[0] == "sw":
+        if here >= self._num_nodes:
             release = start + ser
             self._resident_until[here][flight.mid] = release
             nf = self._switch_next_free
-            if release > nf.get(here, 0):
+            if release > nf[here]:
                 nf[here] = release
             arrive_at = start + ser + self.link_latency + self.switch_latency
         else:
             arrive_at = start + ser + self.link_latency + 1
         flight.claim_event = self.sim.schedule(arrive_at, flight, LABEL_HOP)
 
-    def _claim_chain(self, flight: _Flight, link: Tuple[Vertex, Vertex],
-                     here: Vertex, head: _Flight) -> None:
+    def _claim_chain(self, flight: _Flight, link: int, here: int,
+                     head: _Flight) -> None:
         """Claim slotting: same-cycle claims on one link serialise in
         ``msg_id`` order, not dispatch order.
 
@@ -476,25 +500,35 @@ class Network:
 
     def _input_direction(self, flight: _Flight) -> str:
         """Input direction of a chain member at its current vertex (the
-        non-fifo arbiters' classification key)."""
+        non-fifo arbiters' classification key): a table lookup on the
+        link the flight arrived over."""
         index = flight.index
-        prev = flight.path[index - 1] if index > 0 else None
-        return classify_direction(
-            prev, flight.path[index],
-            self.topology.width, self.topology.height)
+        if index == 0:
+            return "inj"
+        table = self._link_direction
+        if table is None:
+            # Ejection links (into a node) get None: a flight departs a
+            # node only at injection.
+            topo = self.topology
+            table = self._link_direction = [
+                classify_direction(topo.display(u), topo.display(v),
+                                   topo.width, topo.height)
+                if v >= self._num_nodes else None
+                for u, v in topo.link_ends]
+        return table[flight.links[index - 1]]
 
-    def _finish_claim(self, flight: _Flight, here: Vertex,
-                      start: int) -> None:
+    def _finish_claim(self, flight: _Flight, here: int, start: int) -> None:
         """Residency, register, and hop scheduling for one link claim."""
         ser = flight.ser
+        is_switch = here >= self._num_nodes
         arrive_at = start + ser + self.link_latency + (
-            self.switch_latency if here[0] == "sw" else 1)
+            self.switch_latency if is_switch else 1)
         # The message occupies the current switch buffer until it is fully
         # on the wire (link start + serialisation).
-        if here[0] == "sw":
+        if is_switch:
             release = start + ser
             self._resident_until[here][flight.mid] = release
-            if release > self._switch_next_free.get(here, 0):
+            if release > self._switch_next_free[here]:
                 self._switch_next_free[here] = release
         self._schedule_hop(flight, arrive_at)
 
@@ -532,6 +566,7 @@ class Network:
         event's insertion cycle to match hop-by-hop mode.
         """
         path = flight.path
+        links = flight.links
         base = flight.index
         last_sw = len(path) - 2          # final switch before the dst node
         now = self.sim.now
@@ -541,61 +576,61 @@ class Network:
         dead = self._dead_switches
         ex_sw = self._express_switches
         ex_ln = self._express_links
-        link_lat = self.link_latency
-        sw_lat = self.switch_latency
+        n = self._num_nodes
+        # Link + next-vertex latency of a hop leaving a switch or a node.
+        sw_hop = ser + self.link_latency + self.switch_latency
+        node_hop = ser + self.link_latency + 1
 
         t = now
         for k in range(base, last_sw):
-            here = path[k]
+            link = links[k]
             nxt = path[k + 1]
-            if link_free.get((here, nxt), 0) > t or (here, nxt) in ex_ln:
+            if link_free[link] > t or link in ex_ln:
                 return False
-            if (nxt[1] in dead or nxt in ex_sw
-                    or next_free.get(nxt, 0) > now):
+            if nxt in dead or nxt in ex_sw or next_free[nxt] > now:
                 return False
-            t += ser + link_lat + (sw_lat if here[0] == "sw" else 1)
+            t += sw_hop if path[k] >= n else node_hop
 
         # Commit: claim the segment.  The first hop's claim and residency
         # are exactly what a normal depart would write this dispatch; the
         # rest are pre-claims keyed back to the flight.
         msg_id = flight.mid
-        times: List[int] = []
-        saved: List[Optional[int]] = []
-        t = now
-        for k in range(base, last_sw):
-            here = path[k]
-            nxt = path[k + 1]
-            link = (here, nxt)
-            release = t + ser
-            if k == base:
-                # A real claim, identical to what a hop-by-hop depart
-                # would write this dispatch — including the claim-chain
-                # record, so a later same-cycle claimant re-resolves
-                # against this flight (materialising it first).
-                flight.claim_cycle = t
-                flight.claim_link = link
-                flight.claim_start = t
-                flight.claim_base = link_free.get(link, 0)
-                flight.claim_next = None
-                self._claim_head[link] = flight
-                link_free[link] = release
-                if here[0] == "sw":
-                    self._resident_until[here][msg_id] = release
-                    if release > next_free.get(here, 0):
-                        next_free[here] = release
-            else:
-                saved.append(link_free.get(link))
-                link_free[link] = release
-                ex_ln[link] = flight
-            ex_sw[nxt] = flight
-            t += ser + link_lat + (sw_lat if here[0] == "sw" else 1)
+        here = path[base]
+        link = links[base]
+        # A real claim, identical to what a hop-by-hop depart would write
+        # this dispatch — including the claim-chain record, so a later
+        # same-cycle claimant re-resolves against this flight
+        # (materialising it first).
+        release = now + ser
+        flight.claim_cycle = now
+        flight.claim_link = link
+        flight.claim_start = now
+        flight.claim_base = link_free[link]
+        flight.claim_next = None
+        self._claim_head[link] = flight
+        link_free[link] = release
+        if here >= n:
+            self._resident_until[here][msg_id] = release
+            if release > next_free[here]:
+                next_free[here] = release
+        ex_sw[path[base + 1]] = flight
+        t = now + (sw_hop if here >= n else node_hop)
+        times: List[int] = [t]
+        saved: List[int] = []
+        for k in range(base + 1, last_sw):
+            link = links[k]
+            saved.append(link_free[link])
+            link_free[link] = t + ser
+            ex_ln[link] = flight
+            ex_sw[path[k + 1]] = flight
+            t += sw_hop if path[k] >= n else node_hop
             times.append(t)
         flight.exp_base = base
         flight.exp_times = times
         flight.exp_saved = saved
         self._express_flights[msg_id] = flight
         flight.exp_event = self.sim.schedule(
-            times[-1], flight.express_call, LABEL_EXPRESS)
+            t, flight.express_call, LABEL_EXPRESS)
         credit = self._express_credit
         if credit < 64:
             self._express_credit = credit + 1
@@ -627,6 +662,7 @@ class Network:
         """
         now = self.sim.now
         path = flight.path
+        links = flight.links
         base = flight.exp_base
         times = flight.exp_times
         saved = flight.exp_saved
@@ -642,20 +678,15 @@ class Network:
             pos = base + 1 + j
         for k in range(base + 1, last_sw):
             arrive_k = times[k - base - 1]
-            link = (path[k], path[k + 1])
             if arrive_k < now:
                 # The depart at path[k] already "ran": its residency
                 # entry was popped when the flight moved on, but the
                 # next-free register write survives (monotone max).
                 release = arrive_k + ser
-                if release > next_free.get(path[k], 0):
+                if release > next_free[path[k]]:
                     next_free[path[k]] = release
             else:
-                old = saved[k - base - 1]
-                if old is None:
-                    link_free.pop(link, None)
-                else:
-                    link_free[link] = old
+                link_free[links[k]] = saved[k - base - 1]
         if pos > base:
             # The flight is buffered at (or serialising out of) path[pos]:
             # the one residency entry hop-by-hop mode would still hold.
@@ -673,12 +704,13 @@ class Network:
     def _express_clear(self, flight: _Flight) -> None:
         """Drop the flight's claims and express state (idempotent)."""
         path = flight.path
+        links = flight.links
         base = flight.exp_base
         last_sw = base + len(flight.exp_times)
         ex_ln = self._express_links
         ex_sw = self._express_switches
         for k in range(base + 1, last_sw):
-            ex_ln.pop((path[k], path[k + 1]), None)
+            ex_ln.pop(links[k], None)
             ex_sw.pop(path[k], None)
         ex_sw.pop(path[last_sw], None)
         self._express_flights.pop(flight.mid, None)
@@ -692,13 +724,14 @@ class Network:
             return
         index = flight.index = flight.index + 1
         path = flight.path
+        n = self._num_nodes
         # Leave, finalised: the entry's release time already passed (it
         # was start + ser, strictly before this arrival).
         prev = path[index - 1]
-        if prev[0] == "sw":
+        if prev >= n:
             self._resident_until[prev].pop(flight.mid, None)
         vertex = path[index]
-        if vertex[0] == "sw":
+        if vertex >= n:
             if self._express_switches:
                 # Arrival at a switch an express flight claimed: the
                 # claimant materialises first (observer-first tie rule)
@@ -706,13 +739,17 @@ class Network:
                 other = self._express_switches.get(vertex)
                 if other is not None:
                     self._materialize(other)
-            half: HalfSwitchId = vertex[1]
-            if self._dead_switches and half in self._dead_switches:
-                self._lose(flight, f"dead switch {half}")
+            dead = self._dead_switches
+            if dead and vertex in dead:
+                self._lose(flight, "dead switch "
+                           f"{self.topology.half_switch(vertex)}")
                 return
-            if self._drop_hooks:
+            if self._drop_hooks and self._express_holds:
+                # Hooks can only act under a hold (see add_drop_hook), so
+                # the unarmed common case skips the calls.
+                half = self.topology.half_switch(vertex)
                 for hook in self._drop_hooks:
-                    if hook(flight.msg, vertex):
+                    if hook(flight.msg, half):
                         self._lose(flight, f"fault injection at {half}")
                         return
             table = self._resident_until[vertex]
@@ -811,14 +848,15 @@ class Network:
         irretrievably lost (paper Table 1).  Returns how many died with it.
         Routing is NOT recomputed here — that is the recovery-time
         reconfiguration step (:meth:`reconfigure`)."""
-        vertex: Vertex = ("sw", half)
+        vertex = self.topology.switch_id(half)
         claimant = self._express_switches.get(vertex)
         if claimant is not None:
             # Pin the in-express flight back to its true position first;
             # if it is buffered here it dies with the switch below.
             self._materialize(claimant)
         now = self.sim.now
-        table = self._resident_until.pop(vertex, {})
+        table = self._resident_until[vertex]
+        self._resident_until[vertex] = {}
         victims = [mid for mid, until in table.items() if until > now]
         for msg_id in victims:
             flight = self._in_flight.get(msg_id)
@@ -842,14 +880,15 @@ class Network:
         count = len(self._in_flight)
         self._epoch += 1
         self._in_flight.clear()
-        self._resident_until.clear()
-        self._link_free.clear()
-        self._switch_next_free.clear()
+        topo = self.topology
+        self._resident_until = [{} for _ in range(topo.num_vertices)]
+        self._link_free = [0] * topo.num_links
+        self._switch_next_free = [0] * topo.num_vertices
         self._express_links.clear()
         self._express_switches.clear()
         self._express_flights.clear()
         self._deliver_ready.clear()
         self._deliver_cycle = -1
-        self._claim_head.clear()
+        self._claim_head = [None] * topo.num_links
         self.arbiter.reset()
         return count

@@ -6,14 +6,25 @@ north-south half (Y-dimension ring links), and the node has separate
 injection paths to both halves.  Killing one half-switch therefore never
 partitions the machine: traffic can be routed Y-first (or around the ring)
 instead.
+
+Every network vertex has a dense int id: node endpoints are ``0..N-1``
+(the node id itself) and half-switches follow from ``N`` up, two per node,
+so ``v >= num_nodes`` is the switch test and ``N + 2*node + (plane ==
+"ns")`` the id of a half.  Every directed link has a dense int id too,
+assigned once over the fault-free torus so ids stay valid after kills.
+:meth:`TorusTopology.display` and :meth:`TorusTopology.vertex_id` convert
+to and from the readable ``("node", n)`` / ``("sw", HalfSwitchId)`` form.
+
+Neighbour lists keep the order the edges are first inserted in
+:meth:`TorusTopology._edges` (endpoint injection, then the crossover,
+per node in row-major order; then the ring links), which is part of the
+routing tie-break contract (see :mod:`repro.interconnect.routing`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Set, Tuple
-
-import networkx as nx
 
 
 @dataclass(frozen=True)
@@ -27,36 +38,22 @@ class HalfSwitchId:
     def __post_init__(self) -> None:
         if self.plane not in ("ew", "ns"):
             raise ValueError(f"plane must be 'ew' or 'ns', got {self.plane!r}")
-        # Half-switch ids key the network's per-vertex dicts (link
-        # occupancy, buffer residency) on every hop, so the generated
-        # field-tuple hash was a measurable share of hop dispatch.
-        object.__setattr__(self, "_hash", hash((self.plane, self.x, self.y)))
-
-    def __hash__(self) -> int:
-        return self._hash  # type: ignore[attr-defined]
 
     def __repr__(self) -> str:
         return f"{self.plane}({self.x},{self.y})"
 
 
-# Graph vertices are either ("node", node_id) endpoints or
-# ("sw", HalfSwitchId) half-switches.
+# Display form of a vertex: ("node", node_id) or ("sw", HalfSwitchId).
 Vertex = Tuple[str, object]
 
 
-def node_vertex(node_id: int) -> Vertex:
-    return ("node", node_id)
-
-
-def switch_vertex(half: HalfSwitchId) -> Vertex:
-    return ("sw", half)
-
-
 class TorusTopology:
-    """Builds and owns the half-switch connectivity graph.
+    """Owns the half-switch connectivity: int vertex and link ids, and the
+    live adjacency after any half-switch kills.
 
-    The graph is undirected for path computation; the network layer models
-    each undirected edge as two directed links with independent occupancy.
+    Connectivity is undirected for path computation; the network layer
+    models each undirected edge as two directed links (two link ids) with
+    independent occupancy.
     """
 
     def __init__(self, width: int, height: int) -> None:
@@ -64,11 +61,27 @@ class TorusTopology:
             raise ValueError("torus must be at least 2x2")
         self.width = width
         self.height = height
-        self._dead: Set[HalfSwitchId] = set()
-        self._graph = self._build_graph()
+        self.num_nodes = width * height
+        self.num_vertices = 3 * self.num_nodes
+        self._halves: List[HalfSwitchId] = list(self.all_half_switches())
+        #: Dead half-switches as vertex ids.  Mutated in place, never
+        #: rebound, so the network's per-hop liveness test can hold it.
+        self.dead_vertices: Set[int] = set()
+        #: ``link_ends[link_id] == (u, v)``; ids 2k and 2k+1 are the two
+        #: directions of the k-th undirected edge.
+        self.link_ends: List[Tuple[int, int]] = []
+        self._link_ids: Dict[Tuple[int, int], int] = {}
+        for u, v in self._edges():
+            if (u, v) in self._link_ids:
+                continue  # a 2-wide ring meets the same neighbour twice
+            for a, b in ((u, v), (v, u)):
+                self._link_ids[(a, b)] = len(self.link_ends)
+                self.link_ends.append((a, b))
+        self._adj: List[Tuple[int, ...]] = []
+        self._rebuild()
 
     # ------------------------------------------------------------------
-    # Coordinates
+    # Coordinates and ids
     # ------------------------------------------------------------------
     def node_id(self, x: int, y: int) -> int:
         return y * self.width + x
@@ -77,8 +90,8 @@ class TorusTopology:
         return node_id % self.width, node_id // self.width
 
     @property
-    def num_nodes(self) -> int:
-        return self.width * self.height
+    def num_links(self) -> int:
+        return len(self.link_ends)
 
     def all_half_switches(self) -> Iterator[HalfSwitchId]:
         for y in range(self.height):
@@ -86,73 +99,116 @@ class TorusTopology:
                 yield HalfSwitchId("ew", x, y)
                 yield HalfSwitchId("ns", x, y)
 
+    def switch_id(self, half: HalfSwitchId) -> int:
+        """Vertex id of a half-switch."""
+        if not (0 <= half.x < self.width and 0 <= half.y < self.height):
+            raise ValueError(f"{half!r} is outside the "
+                             f"{self.width}x{self.height} torus")
+        return (self.num_nodes + 2 * self.node_id(half.x, half.y)
+                + (half.plane == "ns"))
+
+    def half_switch(self, vertex: int) -> HalfSwitchId:
+        """The half-switch a switch vertex id names."""
+        return self._halves[vertex - self.num_nodes]
+
+    def display(self, vertex: int) -> Vertex:
+        """Readable form of a vertex id: ``("node", n)`` or
+        ``("sw", HalfSwitchId)``."""
+        if vertex < self.num_nodes:
+            return ("node", vertex)
+        return ("sw", self._halves[vertex - self.num_nodes])
+
+    def vertex_id(self, vertex: Vertex) -> int:
+        """Inverse of :meth:`display`."""
+        kind, ident = vertex
+        if kind == "node":
+            return ident  # type: ignore[return-value]
+        return self.switch_id(ident)  # type: ignore[arg-type]
+
+    def link_id(self, u: int, v: int) -> int:
+        """Id of the directed link ``u -> v`` (KeyError if none exists)."""
+        return self._link_ids[(u, v)]
+
     # ------------------------------------------------------------------
-    # Graph construction
+    # Connectivity
     # ------------------------------------------------------------------
-    def _build_graph(self) -> nx.Graph:
-        g = nx.Graph()
-        for y in range((self.height)):
-            for x in range(self.width):
-                nid = self.node_id(x, y)
-                ew = HalfSwitchId("ew", x, y)
-                ns = HalfSwitchId("ns", x, y)
-                g.add_node(node_vertex(nid))
-                for half in (ew, ns):
-                    if half not in self._dead:
-                        g.add_node(switch_vertex(half))
-                # Node connects to both halves (separate injection paths).
-                if ew not in self._dead:
-                    g.add_edge(node_vertex(nid), switch_vertex(ew))
-                if ns not in self._dead:
-                    g.add_edge(node_vertex(nid), switch_vertex(ns))
-                # Crossover between the two halves of one switch, for
-                # dimension turns (X-then-Y routing goes ew -> ns here).
-                if ew not in self._dead and ns not in self._dead:
-                    g.add_edge(switch_vertex(ew), switch_vertex(ns))
+    def _edges(self) -> Iterator[Tuple[int, int]]:
+        """Every undirected edge of the fault-free torus, in insertion
+        order."""
+        n = self.num_nodes
+        for nid in range(n):
+            ew, ns = n + 2 * nid, n + 2 * nid + 1
+            # Node connects to both halves (separate injection paths).
+            yield nid, ew
+            yield nid, ns
+            # Crossover between the two halves of one switch, for
+            # dimension turns (X-then-Y routing goes ew -> ns here).
+            yield ew, ns
         # Ring links.
         for y in range(self.height):
             for x in range(self.width):
-                ew = HalfSwitchId("ew", x, y)
-                ew_next = HalfSwitchId("ew", (x + 1) % self.width, y)
-                if ew not in self._dead and ew_next not in self._dead:
-                    g.add_edge(switch_vertex(ew), switch_vertex(ew_next))
-                ns = HalfSwitchId("ns", x, y)
-                ns_next = HalfSwitchId("ns", x, (y + 1) % self.height)
-                if ns not in self._dead and ns_next not in self._dead:
-                    g.add_edge(switch_vertex(ns), switch_vertex(ns_next))
-        return g
+                nid = self.node_id(x, y)
+                yield (n + 2 * nid,
+                       n + 2 * self.node_id((x + 1) % self.width, y))
+                yield (n + 2 * nid + 1,
+                       n + 2 * self.node_id(x, (y + 1) % self.height) + 1)
+
+    def _rebuild(self) -> None:
+        """Live adjacency: link ids follow edge insertion order, so each
+        vertex's neighbours come out in that order too."""
+        dead = self.dead_vertices
+        adj: List[List[int]] = [[] for _ in range(self.num_vertices)]
+        for u, v in self.link_ends:
+            if u not in dead and v not in dead:
+                adj[u].append(v)
+        self._adj = [tuple(nbrs) for nbrs in adj]
+
+    def vertices(self) -> List[int]:
+        """Live vertex ids in construction order: each node endpoint
+        followed by its live ew and ns halves."""
+        n = self.num_nodes
+        dead = self.dead_vertices
+        order: List[int] = []
+        for nid in range(n):
+            order.append(nid)
+            order.extend(v for v in (n + 2 * nid, n + 2 * nid + 1)
+                         if v not in dead)
+        return order
+
+    def neighbors(self, vertex: int) -> Tuple[int, ...]:
+        """Live neighbours of a vertex, in edge insertion order."""
+        return self._adj[vertex]
+
+    def has_link(self, u: int, v: int) -> bool:
+        """Whether ``u`` and ``v`` are joined by a live link."""
+        return v in self._adj[u]
 
     # ------------------------------------------------------------------
     # Fault support
     # ------------------------------------------------------------------
     def kill_half_switch(self, half: HalfSwitchId) -> None:
         """Permanently remove a half-switch (the paper's hard fault)."""
-        if half in self._dead:
+        vertex = self.switch_id(half)
+        if vertex in self.dead_vertices:
             return
-        self._dead.add(half)
-        self._graph = self._build_graph()
+        self.dead_vertices.add(vertex)
+        self._rebuild()
 
     def is_dead(self, half: HalfSwitchId) -> bool:
-        return half in self._dead
-
-    def live_dead_set(self) -> Set[HalfSwitchId]:
-        """The mutable dead-switch set itself (not a copy): the network
-        holds this reference so its per-hop liveness check is a plain set
-        membership test instead of a method call."""
-        return self._dead
+        return self.switch_id(half) in self.dead_vertices
 
     @property
     def dead_switches(self) -> Set[HalfSwitchId]:
-        return set(self._dead)
-
-    @property
-    def graph(self) -> nx.Graph:
-        return self._graph
+        return {self.half_switch(v) for v in self.dead_vertices}
 
     def is_connected(self) -> bool:
         """True if every pair of nodes can still communicate."""
-        endpoints = [node_vertex(n) for n in range(self.num_nodes)]
-        if not all(self._graph.has_node(v) for v in endpoints):
-            return False
-        comp = nx.node_connected_component(self._graph, endpoints[0])
-        return all(v in comp for v in endpoints[1:])
+        adj = self._adj
+        reached = {0}
+        frontier = [0]
+        while frontier:
+            for v in adj[frontier.pop()]:
+                if v not in reached:
+                    reached.add(v)
+                    frontier.append(v)
+        return all(nid in reached for nid in range(self.num_nodes))

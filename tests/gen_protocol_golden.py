@@ -195,7 +195,8 @@ def route_record(width: int, height: int,
     if killed is not None:
         topo.kill_half_switch(killed)
     routing = RoutingTable(topo)
-    return route_case(topo.num_nodes, routing.path)
+    return route_case(topo.num_nodes, lambda src, dst: map(
+        topo.display, routing.path(src, dst)))
 
 
 def _write(path: str, payload: dict) -> None:

@@ -5,7 +5,7 @@ import pytest
 from repro.interconnect.messages import Message, MessageKind
 from repro.interconnect.network import Network
 from repro.interconnect.routing import RoutingError, RoutingTable
-from repro.interconnect.topology import HalfSwitchId, TorusTopology, node_vertex
+from repro.interconnect.topology import HalfSwitchId, TorusTopology
 from repro.sim.kernel import Simulator
 from repro.sim.stats import StatsRegistry
 
@@ -43,6 +43,43 @@ def test_half_switch_plane_validation():
         HalfSwitchId("diagonal", 0, 0)
 
 
+def test_vertex_ids_roundtrip_through_display():
+    topo = TorusTopology(4, 4)
+    assert topo.num_vertices == 48
+    for v in range(topo.num_vertices):
+        assert topo.vertex_id(topo.display(v)) == v
+    assert topo.display(5) == ("node", 5)
+    half = HalfSwitchId("ns", 1, 2)
+    assert topo.display(topo.switch_id(half)) == ("sw", half)
+    assert topo.half_switch(topo.switch_id(half)) == half
+    assert topo.switch_id(HalfSwitchId("ew", 0, 0)) == 16  # first switch id
+    with pytest.raises(ValueError):
+        topo.switch_id(HalfSwitchId("ew", 4, 0))
+
+
+def test_links_and_neighbors():
+    topo = TorusTopology(4, 4)
+    # Per node: two injection links and the crossover; per switch half
+    # one ring link onward.  Each undirected edge is two directed links.
+    assert topo.num_links == 2 * 16 * (3 + 2)
+    for link, (u, v) in enumerate(topo.link_ends):
+        assert topo.link_id(u, v) == link
+        assert topo.has_link(u, v) and topo.has_link(v, u)
+    # A 2-wide ring meets its one neighbour from both sides: one edge.
+    assert TorusTopology(2, 2).num_links == 2 * (4 * 3 + 4)
+    ew = topo.switch_id(HalfSwitchId("ew", 0, 0))
+    ns = topo.switch_id(HalfSwitchId("ns", 0, 0))
+    east = topo.switch_id(HalfSwitchId("ew", 1, 0))
+    west = topo.switch_id(HalfSwitchId("ew", 3, 0))
+    assert topo.neighbors(0) == (ew, ns)
+    assert topo.neighbors(ew) == (0, ns, east, west)
+    topo.kill_half_switch(HalfSwitchId("ew", 0, 0))
+    assert topo.neighbors(0) == (ns,)
+    assert topo.neighbors(ew) == ()
+    assert not topo.has_link(0, ew) and not topo.has_link(east, ew)
+    assert topo.dead_switches == {HalfSwitchId("ew", 0, 0)}
+
+
 def test_killing_one_half_switch_keeps_machine_connected():
     # The design rationale for half-switches (paper Table 1): one dead
     # element must never partition the machine.
@@ -61,8 +98,8 @@ def test_routes_exist_between_all_pairs():
     for s in range(16):
         for d in range(16):
             path = routing.path(s, d)
-            assert path[0] == node_vertex(s)
-            assert path[-1] == node_vertex(d)
+            assert path[0] == s
+            assert path[-1] == d
 
 
 def test_fault_free_routing_is_dimension_order():
@@ -235,6 +272,18 @@ def test_drain_discards_in_flight(express):
     net.send(Message(MessageKind.GETS, src=0, dst=10))
     sim.run(limit=100_000)
     assert len(delivered) == 1
+
+
+def test_drop_hooks_see_each_half_switch_on_the_route():
+    sim, topo, routing, net = make_net()
+    seen = []
+    net.add_drop_hook(lambda m, half: seen.append(half) and False)
+    for nid in range(16):
+        net.attach(nid, lambda m: None)
+    net.send(Message(MessageKind.GETS, src=0, dst=5))
+    sim.run(limit=10_000)
+    assert seen == routing.switches_on_path(0, 5)
+    assert seen[0] == HalfSwitchId("ew", 0, 0)
 
 
 def test_partition_detected_when_both_halves_die():

@@ -31,10 +31,11 @@ def test_single_half_switch_death_never_partitions(half):
     topo.kill_half_switch(half)
     assert topo.is_connected()
     routing = RoutingTable(topo)
+    dead = topo.switch_id(half)
     for s in range(16):
         for d in range(16):
             if s != d:
-                assert half not in routing.switches_on_path(s, d)
+                assert dead not in routing.path(s, d)
 
 
 @settings(**SETTINGS)
@@ -45,11 +46,12 @@ def test_multi_switch_death_either_routes_or_reports_partition(halves):
         topo.kill_half_switch(half)
     if topo.is_connected():
         routing = RoutingTable(topo)  # must not raise
+        dead = {topo.switch_id(half) for half in halves}
+        assert topo.dead_vertices == dead
         for s in range(0, 16, 5):
             for d in range(16):
                 if s != d:
-                    path = routing.switches_on_path(s, d)
-                    assert not (set(path) & halves)
+                    assert not (set(routing.path(s, d)) & dead)
     else:
         with pytest.raises(RoutingError):
             RoutingTable(topo)

@@ -184,10 +184,12 @@ def test_killed_switch_recovers_reconfigures_and_completes():
     assert machine.recovery.stats.reconfigurations == 1
     # Routing avoids the corpse afterwards.
     dead = HalfSwitchId("ew", 1, 0)
+    assert machine.topology.is_dead(dead)
+    dead_id = machine.topology.switch_id(dead)
     for s in range(4):
         for d in range(4):
             if s != d:
-                assert dead not in machine.routing.switches_on_path(s, d)
+                assert dead_id not in machine.routing.path(s, d)
     machine.check_coherence_invariants()
 
 

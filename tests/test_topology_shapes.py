@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from repro.config import SystemConfig, parse_shape
 from repro.experiments import RunSpec, build_machine
 from repro.interconnect.routing import RoutingTable
-from repro.interconnect.topology import TorusTopology, node_vertex
+from repro.interconnect.topology import TorusTopology
 
 SHAPES = [(2, 2), (2, 4), (4, 4), (4, 8)]
 
@@ -47,14 +47,15 @@ def _minimal_switch_count(topo: TorusTopology, src: int, dst: int) -> int:
 def _assert_path_valid(topo: TorusTopology, routing: RoutingTable,
                        src: int, dst: int) -> None:
     path = routing.path(src, dst)
-    assert path[0] == node_vertex(src)
-    assert path[-1] == node_vertex(dst)
+    assert path[0] == src
+    assert path[-1] == dst
     for here, nxt in zip(path, path[1:]):
-        assert topo.graph.has_edge(here, nxt), (
-            f"{src}->{dst}: {here} -> {nxt} is not a link")
+        assert topo.has_link(here, nxt), (
+            f"{src}->{dst}: {topo.display(here)} -> {topo.display(nxt)} "
+            "is not a link")
     for vertex in path[1:-1]:
-        assert vertex[0] == "sw"
-        assert not topo.is_dead(vertex[1])
+        assert vertex >= topo.num_nodes  # a switch
+        assert not topo.is_dead(topo.half_switch(vertex))
     assert routing.hop_count(src, dst) == _minimal_switch_count(topo, src, dst)
 
 
@@ -86,11 +87,11 @@ def test_routing_survives_any_single_half_switch_loss(width, height,
             if src == dst:
                 continue
             path = routing.path(src, dst)
-            assert path[0] == node_vertex(src)
-            assert path[-1] == node_vertex(dst)
+            assert path[0] == src
+            assert path[-1] == dst
             for here, nxt in zip(path, path[1:]):
-                assert topo.graph.has_edge(here, nxt)
-            assert ("sw", victim) not in path
+                assert topo.has_link(here, nxt)
+            assert topo.switch_id(victim) not in path
 
 
 @pytest.mark.parametrize("width,height", SHAPES)
