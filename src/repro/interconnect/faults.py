@@ -138,6 +138,8 @@ class KillSwitchFault:
         half: HalfSwitchId,
         at_cycle: int,
     ) -> None:
+        # Reject a half-switch outside the torus now, not when the kill fires.
+        network.topology.switch_id(half)
         self.sim = sim
         self.network = network
         self.half = half

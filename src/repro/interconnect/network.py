@@ -275,9 +275,6 @@ class Network:
         :class:`~repro.interconnect.faults.PeriodicArmedFault`) brackets
         its armed windows with :meth:`express_hold` / :meth:`express_release`
         itself; an unmanaged hook pins a hold for the network's lifetime.
-        Hooks are therefore called only while some hold is in force: a
-        managed hook is never consulted outside the armed windows it
-        brackets.
         """
         self._drop_hooks.append(hook)
         if not managed:
@@ -744,9 +741,7 @@ class Network:
                 self._lose(flight, "dead switch "
                            f"{self.topology.half_switch(vertex)}")
                 return
-            if self._drop_hooks and self._express_holds:
-                # Hooks can only act under a hold (see add_drop_hook), so
-                # the unarmed common case skips the calls.
+            if self._drop_hooks:
                 half = self.topology.half_switch(vertex)
                 for hook in self._drop_hooks:
                     if hook(flight.msg, half):

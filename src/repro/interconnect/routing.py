@@ -106,7 +106,7 @@ class RoutingTable:
             # more, so ties resolve to X-first routes (dimension order).
             w = 1.0
             for vertex in (u, v):
-                if vertex >= n and (vertex - n) & 1:
+                if vertex >= n and topo.half_switch(vertex).plane == "ns":
                     w += self._EW_BIAS
             return w
 

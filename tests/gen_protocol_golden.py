@@ -28,12 +28,11 @@ Re-run only to *extend* the matrix (new shapes/faults/seeds), never to
 "refresh" baselines after a divergence — that would turn the oracle into
 a mirror.  Existing records must come out byte-identical.
 
-    PYTHONPATH=src python tests/gen_protocol_golden.py [all|runs|routes]
+    PYTHONPATH=src python tests/gen_protocol_golden.py
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 from typing import Callable, Dict, Iterator, Optional, Tuple
@@ -234,14 +233,8 @@ def write_routes() -> None:
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("which", nargs="?", default="all",
-                        choices=("all", "runs", "routes"))
-    which = parser.parse_args().which
-    if which in ("all", "runs"):
-        write_runs()
-    if which in ("all", "routes"):
-        write_routes()
+    write_runs()
+    write_routes()
 
 
 if __name__ == "__main__":

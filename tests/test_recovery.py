@@ -193,6 +193,13 @@ def test_killed_switch_recovers_reconfigures_and_completes():
     machine.check_coherence_invariants()
 
 
+def test_switch_kill_outside_torus_is_rejected_when_injected():
+    machine = tiny_machine()
+    with pytest.raises(ValueError, match="outside"):
+        machine.inject_switch_kill(HalfSwitchId("ew", 2, 0), at_cycle=8_000)
+    assert not machine._faults
+
+
 def test_killed_switch_crashes_unprotected():
     machine = tiny_machine(
         safetynet=False, workload=apache(num_cpus=4, scale=64, seed=3), seed=3
